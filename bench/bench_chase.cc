@@ -54,9 +54,9 @@ struct StrategyStats {
   double facts_per_sec = 0;
   uint64_t fingerprint = 0;
   // Fingerprint after canonical null renumbering (computed outside the
-  // timed region): the cross-check that speculative runs — whose null
-  // identities are schedule-dependent — produced the same instance up to
-  // a bijective null renaming.
+  // timed region): the cross-check for runs whose enumeration orders —
+  // hence null identities — differ (compiled vs interpreted), which must
+  // produce the same instance up to a bijective null renaming.
   uint64_t canonical_fingerprint = 0;
 };
 
@@ -67,11 +67,10 @@ struct WorkloadResult {
   StrategyStats delta;
 };
 
-// One (num_threads, schedule) point of the thread-scaling dimension
-// (delta strategy only; the naive engine has no parallel path).
+// One num_threads point of the thread-scaling dimension (delta strategy
+// only; the naive engine has no parallel path).
 struct ThreadPoint {
   int threads = 0;
-  ChaseSchedule schedule = ChaseSchedule::kBarrier;
   double wall_ms = 0;
   int64_t steps = 0;
   double speedup_vs_1t = 0;
@@ -81,11 +80,6 @@ struct ThreadScalingResult {
   std::string name;
   int64_t input_facts = 0;
   std::vector<ThreadPoint> points;
-  // Barrier wall time over speculative/dag wall time at 8 threads (> 1
-  // means the mode beats barrier there) — the headline ratios for the
-  // schedule axes.
-  double speculative_vs_barrier_8t = 0;
-  double dag_vs_barrier_8t = 0;
 };
 
 struct BenchContext {
@@ -152,13 +146,10 @@ struct BenchContext {
 StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
                      const std::vector<Tgd>& tgds,
                      const std::vector<Egd>& egds, ChaseStrategy strategy,
-                     int num_threads = 1,
-                     ChaseSchedule schedule = ChaseSchedule::kBarrier,
-                     bool compile_plans = true) {
+                     int num_threads = 1, bool compile_plans = true) {
   ChaseOptions options;
   options.strategy = strategy;
   options.num_threads = num_threads;
-  options.schedule = schedule;
   options.compile_plans = compile_plans;
   options.max_steps = 10'000'000;
   StrategyStats stats;
@@ -231,7 +222,7 @@ WorkloadResult RunWorkload(BenchContext& ctx, const std::string& name,
 // The compiled-vs-interpreted dimension: the delta strategy at 1 thread
 // with ChaseOptions::compile_plans off (the retained interpreter) and on
 // (the plan/ dependency compiler). Enumeration order — and hence fresh
-// null identities — is schedule-dependent between the two executors, so
+// null identities — differs between the two executors, so
 // the cross-check is renaming-invariant: identical canonicalized
 // fingerprints and step counts.
 struct CompiledVsInterpretedResult {
@@ -251,11 +242,11 @@ CompiledVsInterpretedResult RunCompiledVsInterpreted(
   result.input_facts = static_cast<int64_t>(start.fact_count());
   result.interpreted =
       RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1, ChaseSchedule::kBarrier,
+             /*num_threads=*/1,
              /*compile_plans=*/false);
   result.compiled =
       RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1, ChaseSchedule::kBarrier,
+             /*num_threads=*/1,
              /*compile_plans=*/true);
   PDX_CHECK(result.compiled.canonical_fingerprint ==
             result.interpreted.canonical_fingerprint)
@@ -299,12 +290,12 @@ BytecodeVsTreeResult RunBytecodeVsTree(SymbolTable* symbols,
   const bool saved_force = ForceTreeExec();
   SetForceTreeExec(true);
   result.tree = RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-                       /*num_threads=*/1, ChaseSchedule::kBarrier,
+                       /*num_threads=*/1,
                        /*compile_plans=*/true);
   SetForceTreeExec(false);
   result.bytecode =
       RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1, ChaseSchedule::kBarrier,
+             /*num_threads=*/1,
              /*compile_plans=*/true);
   SetForceTreeExec(saved_force);
   PDX_CHECK(result.bytecode.canonical_fingerprint ==
@@ -325,16 +316,9 @@ BytecodeVsTreeResult RunBytecodeVsTree(SymbolTable* symbols,
 }
 
 // The thread-scaling dimension: the same workload, delta strategy, at
-// 1/2/4/8 worker threads, barrier then speculative then dag. Every
-// barrier point is cross-checked against the 1-thread run for identical
-// fingerprints and step counts — the parallel path must change wall time
-// only. Every speculative and dag point must match the barrier base's
-// step count and its canonicalized fingerprint (their null identities
-// are schedule-dependent, so only renaming-invariant equality is
-// meaningful). On merge-heavy workloads the pooled path also switches
-// the egd fixpoint from find-one-then-rescan to batched
-// collect-then-apply, so multi-thread points can beat 1-thread even on a
-// single core.
+// 1/2/4/8 worker threads. Every pooled point must match the 1-thread
+// base's step count and fingerprint exactly — the pool must change wall
+// time only.
 ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
                                      const std::string& name,
                                      const Instance& start,
@@ -344,58 +328,26 @@ ThreadScalingResult RunThreadScaling(SymbolTable* symbols,
   result.name = name;
   result.input_facts = static_cast<int64_t>(start.fact_count());
   StrategyStats base;
-  double barrier_8t_ms = 0, spec_8t_ms = 0, dag_8t_ms = 0;
-  for (ChaseSchedule schedule :
-       {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative,
-        ChaseSchedule::kDag}) {
-    for (int threads : {1, 2, 4, 8}) {
-      StrategyStats stats =
-          RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-                 threads, schedule);
-      bool barrier = schedule == ChaseSchedule::kBarrier;
-      if (barrier && threads == 1) {
-        base = stats;
-      } else if (barrier) {
-        PDX_CHECK(stats.fingerprint == base.fingerprint)
-            << "thread count changed the result on " << name;
-        PDX_CHECK(stats.steps == base.steps)
-            << "thread count changed the step count on " << name;
-      } else {
-        PDX_CHECK(stats.canonical_fingerprint == base.canonical_fingerprint)
-            << ScheduleName(schedule)
-            << " run not isomorphic to barrier base on " << name;
-        PDX_CHECK(stats.steps == base.steps)
-            << ScheduleName(schedule) << " run changed the step count on "
-            << name;
-      }
-      if (threads == 8) {
-        switch (schedule) {
-          case ChaseSchedule::kBarrier: barrier_8t_ms = stats.wall_ms; break;
-          case ChaseSchedule::kSpeculative: spec_8t_ms = stats.wall_ms; break;
-          case ChaseSchedule::kDag: dag_8t_ms = stats.wall_ms; break;
-        }
-      }
-      ThreadPoint point;
-      point.threads = threads;
-      point.schedule = schedule;
-      point.wall_ms = stats.wall_ms;
-      point.steps = stats.steps;
-      point.speedup_vs_1t =
-          stats.wall_ms > 0 ? base.wall_ms / stats.wall_ms : 0;
-      result.points.push_back(point);
-      std::fprintf(stderr, "%-24s %d threads %-11s %9.2f ms (speedup %5.2fx)\n",
-                   name.c_str(), threads, ScheduleName(schedule),
-                   stats.wall_ms, point.speedup_vs_1t);
+  for (int threads : {1, 2, 4, 8}) {
+    StrategyStats stats = RunOne(symbols, start, tgds, egds,
+                                 ChaseStrategy::kRestricted, threads);
+    if (threads == 1) {
+      base = stats;
+    } else {
+      PDX_CHECK(stats.fingerprint == base.fingerprint)
+          << threads << "-thread run changed the result on " << name;
+      PDX_CHECK(stats.steps == base.steps)
+          << threads << "-thread run changed the step count on " << name;
     }
+    ThreadPoint point;
+    point.threads = threads;
+    point.wall_ms = stats.wall_ms;
+    point.steps = stats.steps;
+    point.speedup_vs_1t = stats.wall_ms > 0 ? base.wall_ms / stats.wall_ms : 0;
+    result.points.push_back(point);
+    std::fprintf(stderr, "%-24s %d threads %9.2f ms (speedup %5.2fx)\n",
+                 name.c_str(), threads, stats.wall_ms, point.speedup_vs_1t);
   }
-  result.speculative_vs_barrier_8t =
-      spec_8t_ms > 0 ? barrier_8t_ms / spec_8t_ms : 0;
-  result.dag_vs_barrier_8t = dag_8t_ms > 0 ? barrier_8t_ms / dag_8t_ms : 0;
-  std::fprintf(stderr,
-               "%-24s at 8 threads vs barrier: speculative %5.2fx, "
-               "dag %5.2fx\n",
-               name.c_str(), result.speculative_vs_barrier_8t,
-               result.dag_vs_barrier_8t);
   return result;
 }
 
@@ -463,16 +415,12 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
     for (const ThreadPoint& p : r.points) {
       w.BeginObject();
       w.Key("threads").Int(p.threads);
-      w.Key("schedule").String(ScheduleName(p.schedule));
       w.Key("wall_ms").Double(p.wall_ms, 3);
       w.Key("chase_steps").Int(p.steps);
       w.Key("speedup_vs_1t").Double(p.speedup_vs_1t, 2);
       w.EndObject();
     }
     w.EndArray();
-    w.Key("speculative_vs_barrier_8t")
-        .Double(r.speculative_vs_barrier_8t, 2);
-    w.Key("dag_vs_barrier_8t").Double(r.dag_vs_barrier_8t, 2);
     w.EndObject();
   }
   w.EndArray();
@@ -577,9 +525,9 @@ int Main(int argc, char** argv) {
   }
   // Thread scaling on the two headline workloads, plus a wide
   // disjoint-dependency workload where consecutive tgds touch disjoint
-  // relations, so the speculative engine's cross-dependency pipelining
-  // actually overlaps collect with apply (on the two headline workloads
-  // the dependencies share relations and pipelining never engages).
+  // relations, so the pooled phase's cross-dependency lookahead actually
+  // overlaps collect with apply (on the two headline workloads the
+  // dependencies share relations and the lookahead never engages).
   std::vector<ThreadScalingResult> scaling;
   {
     Instance start = ctx.RandomEdges(512, 2, 17);
@@ -594,11 +542,11 @@ int Main(int argc, char** argv) {
   }
   {
     // Heads keyed on (x,y): nearly every collected trigger fires, so the
-    // apply phase is insert-heavy — the case speculative instantiation
-    // (workers pre-build the head tuples) and pipelining (the next
+    // apply phase is insert-heavy — the case worker-side instantiation
+    // (workers pre-build the head tuples) and the lookahead (the next
     // dependency's collect runs during this one's inserts) target. A
     // head keyed on x alone would fire once per node and collect ~16
-    // triggers per fire, wasting the speculative instantiation.
+    // triggers per fire, wasting the worker-side instantiation.
     Schema wide;
     SymbolTable wide_symbols;
     std::string rules;

@@ -1,11 +1,8 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "base/string_util.h"
@@ -23,15 +20,14 @@ namespace pdx {
 
 namespace {
 
-// Chase metrics on the process registry. Everything above the speculative
+// Chase metrics on the process registry. Everything above the pooled
 // block is a deterministic function of the chase inputs — identical at
 // every num_threads setting (obs_test pins this): the per-run totals are
 // added once at the Chase() wrapper, the per-match and per-merge counters
 // are incremented on the hot path (match counting runs inside pool
-// workers, exercising the registry's thread-local shards). The speculative
-// counters move only under ChaseOptions::speculative and sit outside the
-// invariance contract: how many reserved null ids go unused depends on
-// partitioning and block-allocation accidents, not on the chase result.
+// workers, exercising the registry's thread-local shards). The pooled
+// counters move only when a run has a pool, so they sit outside the
+// invariance contract.
 struct ChaseMetrics {
   obs::Counter runs;
   obs::Counter steps;
@@ -41,14 +37,9 @@ struct ChaseMetrics {
   obs::Counter egd_merges;
   obs::Counter compactions;
   obs::Histogram batch_triggers;  // violated triggers per dependency batch
-  // Speculative/scheduled-mode extras (see RunTgdPhaseScheduled). Like
-  // the speculative counters, sharded_inserts sits outside the invariance
-  // contract: whether a batch clears the sharding threshold depends on
-  // pool availability, not on the chase result.
-  obs::Counter spec_triggers;       // head instantiations done in workers
-  obs::Counter spec_nulls_retired;  // reserved null ids never inserted
-  obs::Counter pipeline_overlaps;   // collections overlapped with an apply
-  obs::Counter sharded_inserts;     // tuples drained via AddFactSharded
+  // Pooled tgd phase (see RunTgdPhasePooled).
+  obs::Counter spec_triggers;      // head instantiations done in workers
+  obs::Counter pipeline_overlaps;  // collections overlapped with an apply
 
   static ChaseMetrics& Get() {
     static ChaseMetrics* m = [] {
@@ -65,12 +56,8 @@ struct ChaseMetrics {
           "pdx_chase_batch_triggers", {1, 4, 16, 64, 256, 1024, 4096});
       metrics->spec_triggers =
           reg.GetCounter("pdx_chase_speculative_triggers_total");
-      metrics->spec_nulls_retired =
-          reg.GetCounter("pdx_chase_speculative_nulls_retired_total");
       metrics->pipeline_overlaps =
           reg.GetCounter("pdx_chase_pipeline_overlaps_total");
-      metrics->sharded_inserts =
-          reg.GetCounter("pdx_chase_sharded_inserts_total");
       return metrics;
     }();
     return *m;
@@ -108,28 +95,6 @@ bool FindViolatedEgdTrigger(const Instance& instance, const Egd& egd,
       });
 }
 
-// Like FindViolatedEgdTrigger, but only scans body matches touching the
-// delta (earlier matches were resolved when their facts were new). With a
-// non-null plan, enumeration runs through the compiled body program.
-bool FindViolatedEgdTriggerDelta(const Instance& instance,
-                                 const DeltaView& delta, const Egd& egd,
-                                 const plan::EgdPlan* plan, Binding* out) {
-  const auto fn = [&](const Binding& body_match) {
-    if (body_match.values[egd.left_var] ==
-        body_match.values[egd.right_var]) {
-      return true;
-    }
-    *out = body_match;
-    return false;
-  };
-  if (plan != nullptr) {
-    return EnumerateMatchesDeltaPlanned(plan->body, instance, delta,
-                                        Binding::Empty(egd.var_count), fn);
-  }
-  return EnumerateMatchesDelta(egd.body, egd.var_count, instance, delta,
-                               Binding::Empty(egd.var_count), fn);
-}
-
 // True if some body atom could match inside the delta at all.
 bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
   for (const Atom& atom : body) {
@@ -144,8 +109,8 @@ bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
 // the shared immutable instance and must be a pure read (HasMatch and
 // fingerprinting qualify) — and the per-partition buffers are concatenated
 // in partition order, which reproduces the sequential enumeration order
-// exactly. This is the collect half of every parallel chase phase; the
-// apply half stays sequential.
+// exactly. This is the collect half of the sequential tgd phases and of
+// every egd pass; the apply half stays on the calling thread.
 // Collects into `out` with element reuse: the first `returned` entries of
 // `out` are this round's triggers; entries beyond that are retained
 // capacity from earlier rounds (never shrunk), so steady-state rounds
@@ -344,18 +309,15 @@ bool HeadSatisfied(const Tgd& tgd, const plan::TgdPlan* plan,
 // the deletion-propagation journal (chase/journal.h) shares the ledger's
 // exactly-once/retire discipline, so the class is now a public header.
 
-// --- Speculative parallel execution (ChaseOptions::speculative) --------
+// --- Pooled tgd phase ------------------------------------------------
 //
-// In barrier mode, workers only *collect* triggers and the sequential
-// apply phase invents nulls and inserts, so results are bit-identical at
-// every thread count. Speculative mode moves head instantiation (and, for
-// the oblivious engine, ledger admission) into the workers and overlaps
-// collection of the next compatible dependency with the current apply
-// phase. The per-round trigger sets, apply order, outcome, steps,
-// nulls_created and every resolved-view property are unchanged — but
-// which null *ids* the existential witnesses get depends on which worker
-// instantiated them, so results equal the barrier mode's only up to a
-// bijective null renaming (CanonicalizeNulls in hom/instance_hom.h).
+// With a pool, the workers both collect a dependency's triggers and
+// instantiate their heads, and collection of later compatible dependencies
+// overlaps the current apply phase. The calling thread still decides every
+// trigger (restricted re-check, oblivious ledger insert) and draws every
+// fresh null, in enumeration order, so the per-round trigger sets, apply
+// order and null ids are the sequential run's: a pooled run is
+// bit-identical to the sequential one.
 
 // Relation read/write footprints (plan::TgdFootprint, computed by
 // plan::ComputeTgdFootprints and cached on compiled settings) drive the
@@ -379,184 +341,20 @@ bool FootprintsCompatible(const TgdFootprint& applying,
   return true;
 }
 
-// --- Sharded apply --------------------------------------------------
-//
-// The apply half of a batch, restructured as decide-then-insert: a
-// sequential decide pass (overlay probe or ledger admission — never a
-// physical index probe) fixes which triggers fire and invents their
-// fresh nulls in deterministic order, queueing the head tuples on
-// per-relation lists; then the insert pass drains one relation per pool
-// worker through Instance::AddFactSharded. Per-relation insert order is
-// the decide order and relation stores are disjoint, so the final raw
-// stores are byte-identical to draining inline — which is exactly what
-// happens without a pool (or while an async collect owns the workers:
-// the pool runs one job at a time).
-class ShardedInserts {
- public:
-  explicit ShardedInserts(int relation_count)
-      : per_relation_(relation_count) {}
-
-  void Add(RelationId relation, Tuple tuple) {
-    per_relation_[relation].push_back(std::move(tuple));
-    ++total_;
-  }
-
-  size_t total() const { return total_; }
-
-  // Inserts everything queued and folds the deferred fact counts; passes
-  // with too little work (or no usable pool) insert inline — the result
-  // is identical either way. Returns the number of tuples the raw stores
-  // actually gained.
-  size_t Drain(Instance* instance, ThreadPool* pool, uint64_t parent_span) {
-    std::vector<RelationId> relations;
-    for (RelationId r = 0;
-         r < static_cast<RelationId>(per_relation_.size()); ++r) {
-      if (!per_relation_[r].empty()) relations.push_back(r);
-    }
-    size_t added = 0;
-    if (pool == nullptr || relations.size() < 2 ||
-        total_ < kMinFactsForSharding) {
-      for (RelationId r : relations) {
-        for (Tuple& tuple : per_relation_[r]) {
-          if (instance->AddFact(r, std::move(tuple))) ++added;
-        }
-        per_relation_[r].clear();
-      }
-      total_ = 0;
-      return added;
-    }
-    for (RelationId r : relations) instance->EnsureOwnedStore(r);
-    std::vector<size_t> shard_added(relations.size(), 0);
-    pool->ParallelFor(relations.size(), [&](size_t i) {
-      obs::Span shard_span(obs::Tracer::Global(), "chase.apply_shard",
-                           parent_span);
-      const RelationId r = relations[i];
-      size_t n = 0;
-      for (Tuple& tuple : per_relation_[r]) {
-        if (instance->AddFactSharded(r, std::move(tuple))) ++n;
-      }
-      shard_added[i] = n;
-      shard_span.AttrInt("relation", static_cast<int64_t>(r))
-          .AttrInt("inserted", static_cast<int64_t>(n));
-    });
-    for (size_t n : shard_added) added += n;
-    instance->CommitShardedFacts(added);
-    ChaseMetrics::Get().sharded_inserts.Inc(static_cast<int64_t>(total_));
-    for (RelationId r : relations) per_relation_[r].clear();
-    total_ = 0;
-    return added;
-  }
-
- private:
-  // Below this, ParallelFor dispatch costs more than the inserts.
-  static constexpr size_t kMinFactsForSharding = 128;
-
-  std::vector<std::vector<Tuple>> per_relation_;
-  size_t total_ = 0;
-};
-
-// Runtime state of the overlay decide: the projection keys (onto the
-// head's universal variables) of the triggers this batch has fired so
-// far. Exact Tuples, not hashes — a collision would silently change
-// restricted-chase semantics, unlike the oblivious ledger where the
-// fingerprint risk is a documented trade. Only constructed for heads
-// plan::AnalyzeHeadOverlay proved exact.
-struct HeadOverlay {
-  const plan::HeadOverlayPlan* plan = nullptr;
-  std::unordered_set<Tuple, TupleHash> fired;
-
-  // True iff the trigger must fire: its head is not satisfied by this
-  // batch's earlier inserts (collect already filtered heads satisfied by
-  // the pre-batch state). Records the key on fire.
-  bool DecideFire(const Binding& binding) {
-    Tuple key;
-    key.reserve(plan->key.size());
-    for (VariableId v : plan->key) key.push_back(binding.values[v]);
-    return fired.insert(std::move(key)).second;
-  }
-};
-
-// The overlay plan a batch should decide with, or nullptr when the head
-// shape demands the physical re-check (non-exact) or the run is
-// sequential (`pool == nullptr`: the classic interleaved apply is already
-// optimal there and stays the reference discipline).
-const plan::HeadOverlayPlan* OverlayFor(const plan::TgdPlan* plan,
-                                        const plan::HeadOverlayPlan* local,
-                                        ThreadPool* pool) {
-  if (pool == nullptr) return nullptr;
-  const plan::HeadOverlayPlan* overlay =
-      plan != nullptr ? &plan->apply.overlay : local;
-  return overlay != nullptr && overlay->exact ? overlay : nullptr;
-}
-
-// Extends `binding` with sequentially drawn fresh nulls and queues the
-// head image on the per-relation insert lists. The deferred twin of
-// ApplyTgdStep/ApplyTgdStepPlanned; returns the fresh-null count.
-int QueueTgdStep(const Tgd& tgd, const plan::TgdPlan* plan,
-                 const Binding& binding, SymbolTable* symbols,
-                 ShardedInserts* inserts, size_t dep = 0,
-                 ChaseJournal* journal = nullptr) {
-  Binding extended = binding;
-  if (plan != nullptr) {
-    const plan::ApplyTemplate& apply = plan->apply;
-    for (VariableId v : apply.existentials) {
-      extended.Bind(v, symbols->FreshNull());
-    }
-    if (journal != nullptr) {
-      journal->RecordTgd(dep, extended.values.data(),
-                         extended.values.size(), tgd.existential);
-    }
-    size_t cursor = 0;
-    for (const plan::HeadAtom& atom : apply.head_atoms) {
-      Tuple tuple;
-      tuple.reserve(atom.arity);
-      for (int i = 0; i < atom.arity; ++i) {
-        const plan::HeadSlot& slot = apply.slots[cursor++];
-        tuple.push_back(slot.is_const ? slot.key
-                                      : extended.values[slot.var]);
-      }
-      inserts->Add(atom.relation, std::move(tuple));
-    }
-    return apply.fresh_per_trigger;
-  }
-  int fresh = 0;
-  for (VariableId v = 0; v < tgd.var_count; ++v) {
-    if (tgd.existential[v] && !extended.bound[v]) {
-      extended.Bind(v, symbols->FreshNull());
-      ++fresh;
-    }
-  }
-  if (journal != nullptr) {
-    journal->RecordTgd(dep, extended.values.data(), extended.values.size(),
-                       tgd.existential);
-  }
-  for (const Atom& atom : tgd.head) {
-    Tuple tuple;
-    tuple.reserve(atom.terms.size());
-    for (const Term& t : atom.terms) {
-      tuple.push_back(t.is_constant() ? t.constant()
-                                      : extended.values[t.var()]);
-    }
-    inserts->Add(atom.relation, std::move(tuple));
-  }
-  return fresh;
-}
-
 // Speculatively collected triggers live in flat, partition-local
 // buffers rather than per-trigger objects: `rows` holds the binding
-// values (var_count per trigger, existential slots already filled with
-// nulls from the worker's private range) and `heads` the fully
-// instantiated head-atom values (head_width per trigger, atoms
-// concatenated in tgd.head order). Flat storage is what makes
-// speculation pay off — the worker's per-trigger cost is appending
-// values (no per-trigger heap objects, so the allocator never sees
-// cross-thread traffic), and the sequential apply phase becomes a
-// streaming scan in prefetch order instead of a pointer chase over
-// worker-allocated triggers.
+// values (var_count per trigger) and `heads` the instantiated head-atom
+// values (head_width per trigger, atoms concatenated in tgd.head order);
+// existential slots of both are filled with fresh nulls at apply time.
+// Flat storage is what makes speculation pay off — the worker's
+// per-trigger cost is appending values (no per-trigger heap objects, so
+// the allocator never sees cross-thread traffic), and the sequential
+// apply phase becomes a streaming scan in prefetch order instead of a
+// pointer chase over worker-allocated triggers.
 struct SpecBuffer {
   std::vector<Value> rows;
   std::vector<Value> heads;
-  std::vector<uint64_t> fps;  // admitted fingerprints (oblivious only)
+  std::vector<uint64_t> fps;  // trigger fingerprints (oblivious only)
   size_t count = 0;
 };
 
@@ -574,8 +372,8 @@ struct SpecLayout {
   int fresh_per_trigger = 0;  // existential variables per trigger
   std::vector<VariableId> existentials;
   // Positions within a trigger's flat head row holding an existential
-  // variable, with the variable: the slots patched once the partition's
-  // exact null range is reserved.
+  // variable, with the variable: the slots the apply phase patches with
+  // the trigger's fresh nulls.
   std::vector<std::pair<size_t, VariableId>> head_null_slots;
   Binding scratch;
 };
@@ -618,32 +416,30 @@ SpecLayout LayoutFromTemplate(const plan::ApplyTemplate& apply) {
   return out;
 }
 
-// Speculative collection of one dependency's pending triggers: the delta
+// Pooled collection of one dependency's pending triggers: the delta
 // partitions fan across the pool and each partition task instantiates the
-// heads of the matches it admits, drawing nulls from one exact-size
-// partition-local range. With a null ledger the admission filter is the restricted
-// engine's HasMatch probe; otherwise it is concurrent ledger admission
-// (exactly one partition wins each fingerprint, which also collapses the
-// duplicate matches the extras overlap can produce). The job either Run()s
-// synchronously with the caller participating, or has its partitions
-// driven externally by the scheduler's combined lookahead batch
-// (RunPartition is safe from any pool worker); `buffers()` exposes the
-// results in partition order — the sequential enumeration order, so the
-// apply order is schedule-invariant.
+// heads of the matches it keeps. With a null ledger the filter is the
+// restricted engine's HasMatch probe; otherwise it drops triggers the
+// ledger already holds (a concurrent read: the apply phase's Insert
+// collapses the duplicate matches the extras overlap can produce, exactly
+// as the sequential loop does). The job either Run()s synchronously with
+// the caller participating, or has its partitions driven externally by
+// the scheduler's combined lookahead batch (RunPartition is safe from any
+// pool worker); `buffers()` exposes the results in partition order — the
+// sequential enumeration order, so the apply order is the sequential
+// run's.
 class SpecCollectJob {
  public:
   SpecCollectJob(const Tgd* tgd, size_t dep_index, const SpecLayout* layout,
                  const plan::TgdPlan* plan, const Instance* instance,
-                 const DeltaView* delta, SymbolTable* symbols,
-                 TriggerLedger* ledger, ThreadPool* pool,
-                 uint64_t parent_span, bool pipelined)
+                 const DeltaView* delta, const TriggerLedger* ledger,
+                 ThreadPool* pool, uint64_t parent_span, bool pipelined)
       : tgd_(tgd),
         dep_(dep_index),
         layout_(layout),
         plan_(plan),
         instance_(instance),
         delta_(delta),
-        symbols_(symbols),
         ledger_(ledger),
         pool_(pool),
         parent_span_(parent_span),
@@ -674,7 +470,6 @@ class SpecCollectJob {
     obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
                         parent_span_);
     part_span.AttrInt("partition", static_cast<int64_t>(p))
-        .AttrBool("speculative", true)
         .AttrBool("pipelined", pipelined_);
     ChaseMetrics& metrics = ChaseMetrics::Get();
     SpecBuffer& buffer = buffers_[p];
@@ -683,7 +478,7 @@ class SpecCollectJob {
       metrics.tgd_matches.Inc();
       if (ledger_ != nullptr) {
         uint64_t fp = TriggerFingerprint(dep_, *tgd_, m);
-        if (!ledger_->Admit(fp)) return true;
+        if (ledger_->Contains(fp)) return true;
         buffer.fps.push_back(fp);
       } else if (HeadSatisfied(*tgd_, plan_, *instance_, m)) {
         return true;
@@ -692,8 +487,8 @@ class SpecCollectJob {
       buffer.rows.insert(buffer.rows.end(), m.values.begin(),
                          m.values.end());
       for (VariableId v : layout.existentials) PDX_DCHECK(!m.bound[v]);
-      // Existential row/head slots hold junk until the patch pass
-      // below fills them from the partition's exact null range.
+      // Existential row/head slots hold junk until the apply phase fills
+      // them with the trigger's fresh nulls.
       if (plan_ != nullptr) {
         for (const plan::HeadSlot& slot : plan_->apply.slots) {
           buffer.heads.push_back(slot.is_const ? slot.key
@@ -721,28 +516,6 @@ class SpecCollectJob {
                                      *delta_, parts_[p],
                                      Binding::Empty(tgd_->var_count), admit);
     }
-    // Reserve the partition's nulls in one exact fetch_add only now that
-    // the admitted count is known: block-sized draws would retire their
-    // unused tails, and the resulting holes in the null id space inflate
-    // every id-indexed structure downstream (the union-find resolver
-    // arrays most of all — sparse ids measurably slow the egd fixpoint).
-    const size_t fresh = layout.existentials.size();
-    if (buffer.count > 0 && fresh > 0) {
-      const uint32_t base = symbols_->ReserveNullRange(
-          static_cast<uint32_t>(buffer.count * fresh));
-      const size_t var_count = static_cast<size_t>(tgd_->var_count);
-      for (size_t t = 0; t < buffer.count; ++t) {
-        Value* row = buffer.rows.data() + t * var_count;
-        for (size_t e = 0; e < fresh; ++e) {
-          row[layout.existentials[e]] =
-              Value::Null(base + static_cast<uint32_t>(t * fresh + e));
-        }
-        Value* head = buffer.heads.data() + t * layout.head_width;
-        for (const auto& [pos, v] : layout.head_null_slots) {
-          head[pos] = row[v];
-        }
-      }
-    }
     metrics.spec_triggers.Inc(static_cast<int64_t>(buffer.count));
     part_span.AttrInt("collected", static_cast<int64_t>(buffer.count));
   }
@@ -754,8 +527,7 @@ class SpecCollectJob {
   const plan::TgdPlan* plan_;  // nullptr => interpret
   const Instance* instance_;
   const DeltaView* delta_;
-  SymbolTable* symbols_;
-  TriggerLedger* ledger_;  // nullptr => restricted HasMatch filter
+  const TriggerLedger* ledger_;  // nullptr => restricted HasMatch filter
   ThreadPool* pool_;
   uint64_t parent_span_;
   bool pipelined_;
@@ -763,10 +535,10 @@ class SpecCollectJob {
   std::vector<SpecBuffer> buffers_;
 };
 
-// One round's tgd phase under the kSpeculative and kDag schedules, shared
-// by the restricted (ledger == nullptr) and oblivious engines: for each
-// dependency touching the delta, collect fully instantiated triggers (see
-// SpecCollectJob), then apply them sequentially in enumeration order.
+// One round's pooled tgd phase, shared by the restricted (ledger ==
+// nullptr) and oblivious engines: for each dependency touching the delta,
+// collect triggers with pre-built head rows (see SpecCollectJob), then
+// apply them sequentially in enumeration order.
 //
 // Scheduling is topological over the footprint DAG rather than one-ahead:
 // before applying dependency i, the scheduler gathers *every* not-yet-
@@ -778,27 +550,22 @@ class SpecCollectJob {
 // their partitions). Independent tgd families thus run collect → apply
 // concurrently end-to-end instead of overlapping a single dependency.
 // Applies still happen in active-list order, which keeps steps and
-// nulls_created schedule-invariant.
+// nulls_created equal to the sequential run's.
 //
-// The apply discipline depends on the schedule. kSpeculative keeps PR 5's
-// physical HasMatch re-check with inline inserts. kDag decides overlay-
-// exact restricted heads via HeadOverlay (no index probe at all) and
-// queues their inserts on per-relation shards, drained in parallel when
-// the workers are free (ShardedInserts; oblivious batches shard
-// unconditionally — ledger admission needs no physical probe); non-exact
-// heads fall back to the speculative discipline. Returns false when the
-// step budget was exhausted (`result` is finalized).
-bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
-                          const std::vector<TgdFootprint>& footprints,
-                          const plan::CompiledSetting* compiled,
-                          const std::vector<plan::HeadOverlayPlan>* overlays,
-                          Instance* instance, const DeltaView& delta,
-                          SymbolTable* symbols, TriggerLedger* ledger,
-                          ThreadPool* pool, const ChaseOptions& options,
-                          ChaseSchedule schedule, ChaseResult* result,
-                          ChaseJournal* journal = nullptr) {
+// The apply scan re-checks every restricted trigger physically (an
+// earlier trigger of the batch may have satisfied its head) and inserts
+// every oblivious trigger into the ledger, then draws the trigger's fresh
+// nulls — the same decisions and FreshNull calls, in the same order, as
+// the sequential loop — and inserts the pre-built head rows. Returns false
+// when the step budget was exhausted (`result` is finalized).
+bool RunTgdPhasePooled(const std::vector<Tgd>& tgds,
+                       const std::vector<TgdFootprint>& footprints,
+                       const plan::CompiledSetting* compiled,
+                       Instance* instance, const DeltaView& delta,
+                       SymbolTable* symbols, TriggerLedger* ledger,
+                       ThreadPool* pool, const ChaseOptions& options,
+                       ChaseResult* result, ChaseJournal* journal = nullptr) {
   ChaseMetrics& metrics = ChaseMetrics::Get();
-  const bool dag = schedule == ChaseSchedule::kDag;
   std::vector<size_t> active;
   for (size_t d = 0; d < tgds.size(); ++d) {
     if (TouchesDelta(tgds[d].body, delta)) active.push_back(d);
@@ -822,9 +589,9 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
   std::vector<size_t> inflight;
   const auto make_job = [&](size_t i, bool pipelined, uint64_t parent) {
     const size_t d = active[i];
-    return std::make_unique<SpecCollectJob>(
-        &tgds[d], d, &layouts[i], plan_for(d), instance, &delta, symbols,
-        ledger, pool, parent, pipelined);
+    return std::make_unique<SpecCollectJob>(&tgds[d], d, &layouts[i],
+                                            plan_for(d), instance, &delta,
+                                            ledger, pool, parent, pipelined);
   };
   const auto join_batch = [&] {
     if (inflight.empty()) return;
@@ -864,15 +631,13 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
       (*units)[u].first->RunPartition((*units)[u].second);
     });
   };
-  const int relation_count = instance->schema().relation_count();
   bool exhausted = false;
   for (size_t i = 0; i < active.size() && !exhausted; ++i) {
     const size_t d = active[i];
     const Tgd& tgd = tgds[d];
     const SpecLayout& layout = layouts[i];
     obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
-    tgd_span.AttrInt("dep", static_cast<int64_t>(d))
-        .AttrStr("schedule", ScheduleName(schedule));
+    tgd_span.AttrInt("dep", static_cast<int64_t>(d));
     const bool was_inflight =
         std::find(inflight.begin(), inflight.end(), i) != inflight.end();
     if (was_inflight || (!collected[i] && !inflight.empty())) {
@@ -892,20 +657,8 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
     // Launch the lookahead before applying so collections of every ready
     // dependency overlap this apply phase.
     start_lookahead(i, tgd_span.id());
-    // kDag decide-then-insert: overlay-exact restricted heads and all
-    // oblivious batches defer inserts to per-relation shards. The shards
-    // may only drain in parallel when no collect batch owns the workers.
-    const plan::HeadOverlayPlan* overlay_plan =
-        dag && ledger == nullptr
-            ? OverlayFor(plan_for(d),
-                         overlays != nullptr ? &(*overlays)[d] : nullptr,
-                         pool)
-            : nullptr;
-    const bool deferred = dag && (ledger != nullptr || overlay_plan);
-    HeadOverlay overlay;
-    overlay.plan = overlay_plan;
-    ShardedInserts inserts(deferred ? relation_count : 0);
     Binding scratch = layout.scratch;
+    std::vector<Value> head_row(layout.head_width);
     const size_t var_count = static_cast<size_t>(tgd.var_count);
     int64_t applied = 0;
     for (const SpecBuffer& buffer : pending) {
@@ -915,39 +668,27 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
            ++t, row += var_count, head += layout.head_width) {
         std::copy(row, row + var_count, scratch.values.begin());
         if (ledger == nullptr) {
-          if (overlay_plan != nullptr) {
-            // Overlay decide: satisfied by this batch's earlier inserts
-            // iff an earlier trigger fired with the same projection (see
-            // plan::HeadOverlayPlan). The skipped trigger's speculative
-            // nulls are retired unused, as under the physical re-check.
-            if (!overlay.DecideFire(scratch)) {
-              metrics.spec_nulls_retired.Inc(layout.fresh_per_trigger);
-              continue;
-            }
-          } else if (HeadSatisfied(tgd, plan_for(d), *instance, scratch)) {
-            // Re-check: an earlier application may have satisfied it.
-            metrics.spec_nulls_retired.Inc(layout.fresh_per_trigger);
-            continue;
-          }
-        } else {
-          // Admission already happened in the worker; only the
-          // generation index is still owed.
-          ledger->RecordRoots(buffer.fps[t], tgd, scratch);
+          // Re-check: an earlier application may have satisfied it.
+          if (HeadSatisfied(tgd, plan_for(d), *instance, scratch)) continue;
+        } else if (!ledger->Insert(buffer.fps[t], tgd, scratch)) {
+          continue;  // a duplicate match of an earlier trigger
+        }
+        // The existential slots stay masked off in `scratch`, so only
+        // their values change.
+        for (VariableId v : layout.existentials) {
+          scratch.values[v] = symbols->FreshNull();
         }
         if (journal != nullptr) {
-          // `row` is the full extended binding: the workers already
-          // patched the existential slots from their reserved ranges.
-          journal->RecordTgd(d, row, var_count, tgd.existential);
+          journal->RecordTgd(d, scratch.values.data(), var_count,
+                             tgd.existential);
         }
-        const Value* cursor = head;
+        std::copy(head, head + layout.head_width, head_row.begin());
+        for (const auto& [pos, v] : layout.head_null_slots) {
+          head_row[pos] = scratch.values[v];
+        }
+        const Value* cursor = head_row.data();
         for (const Atom& atom : tgd.head) {
-          if (deferred) {
-            inserts.Add(atom.relation,
-                        Tuple(cursor, cursor + atom.terms.size()));
-          } else {
-            instance->AddFact(atom.relation,
-                              Tuple(cursor, cursor + atom.terms.size()));
-          }
+          instance->AddFact(atom.relation, cursor, atom.terms.size());
           cursor += atom.terms.size();
         }
         result->nulls_created += layout.fresh_per_trigger;
@@ -960,10 +701,6 @@ bool RunTgdPhaseScheduled(const std::vector<Tgd>& tgds,
         }
       }
       if (exhausted) break;
-    }
-    if (deferred) {
-      inserts.Drain(instance, inflight.empty() ? pool : nullptr,
-                    tgd_span.id());
     }
     tgd_span.AttrInt("collected", static_cast<int64_t>(total))
         .AttrInt("applied", applied);
@@ -1091,14 +828,10 @@ bool AbsorbEgdOutcome(const EgdFixpointOutcome& egd_out, ChaseResult* result) {
 // so watermarks stay valid and only the dirty equivalence classes are
 // re-examined.
 //
-// With a pool, each tgd's trigger collection is fanned across the delta
-// partitions; the apply phase stays sequential in enumeration order, and
-// later tgds still see earlier tgds' additions, so the per-round state
-// sequence — and with it every fresh-null assignment — is bit-identical
-// to the single-threaded run. Under ChaseOptions::speculative the workers
-// additionally instantiate heads and pipeline across dependencies
-// (RunTgdPhaseSpeculative); the result is then equal only up to a
-// bijective null renaming.
+// With a pool, the tgd phase runs through RunTgdPhasePooled: workers
+// collect and instantiate triggers, and collection of footprint-compatible
+// dependencies overlaps the current apply; the result is bit-identical to
+// the sequential run's.
 ChaseResult ChaseRestrictedDelta(Instance start,
                                  const std::vector<Tgd>& tgds,
                                  const std::vector<Egd>& egds,
@@ -1110,25 +843,14 @@ ChaseResult ChaseRestrictedDelta(Instance start,
   Instance& instance = result.instance;
   const std::vector<plan::EgdPlan>* egd_plans =
       compiled != nullptr ? &compiled->egds : nullptr;
-  // Sequential runs always take the barrier path (ResolveSchedule's
-  // choice only matters once a pool exists); the scheduled phases need
-  // the footprint DAG, and the pooled barrier apply needs the overlay
-  // plans (compiled settings carry both; the interpreter derives them
-  // here, once per run).
-  const ChaseSchedule schedule =
-      pool != nullptr ? ResolveSchedule(options) : ChaseSchedule::kBarrier;
-  const bool scheduled = schedule != ChaseSchedule::kBarrier;
-  std::vector<TgdFootprint> footprints;
-  if (scheduled && compiled == nullptr) {
-    footprints = plan::ComputeTgdFootprints(tgds);
-  }
-  std::vector<plan::HeadOverlayPlan> local_overlays;
+  // The pooled phase needs the footprint DAG: compiled settings carry it,
+  // the interpreter derives it here, once per run.
+  std::vector<TgdFootprint> local_footprints;
   if (pool != nullptr && compiled == nullptr) {
-    local_overlays.reserve(tgds.size());
-    for (const Tgd& tgd : tgds) {
-      local_overlays.push_back(plan::AnalyzeHeadOverlay(tgd));
-    }
+    local_footprints = plan::ComputeTgdFootprints(tgds);
   }
+  const std::vector<TgdFootprint>& footprints =
+      compiled != nullptr ? compiled->footprints : local_footprints;
   // Everything is "new" before the first round, so round one degenerates
   // to the full scan the naive chase would do — exactly once. An
   // incremental caller (ChaseOptions::resume_from) instead seeds the
@@ -1177,12 +899,10 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     // Facts present now are covered once this round's triggers have been
     // evaluated; facts the round itself adds become the next delta.
     InstanceWatermark frontier = instance.TakeWatermark();
-    if (scheduled) {
-      if (!RunTgdPhaseScheduled(
-              tgds, compiled != nullptr ? compiled->footprints : footprints,
-              compiled, compiled == nullptr ? &local_overlays : nullptr,
-              &instance, delta, symbols, /*ledger=*/nullptr, pool, options,
-              schedule, &result, options.journal)) {
+    if (pool != nullptr) {
+      if (!RunTgdPhasePooled(tgds, footprints, compiled, &instance, delta,
+                             symbols, /*ledger=*/nullptr, pool, options,
+                             &result, options.journal)) {
         return result;
       }
     } else {
@@ -1198,70 +918,35 @@ ChaseResult ChaseRestrictedDelta(Instance start,
         // matcher.) Body matches are counted locally and flushed to the
         // registry once per batch: the keep filter is the hottest lambda
         // in the engine and a sharded atomic per call is measurable.
-        // (Relaxed atomic: pooled collection invokes the filter from
-        // partition workers.)
-        std::atomic<int64_t> n_matches{0};
+        int64_t n_matches = 0;
         const size_t n_pending = CollectDeltaMatches(
-            tgd.body, tgd.var_count, instance, delta, pool,
+            tgd.body, tgd.var_count, instance, delta, /*pool=*/nullptr,
             plan != nullptr ? &plan->body : nullptr,
             [&](const Binding& body_match) {
-              n_matches.fetch_add(1, std::memory_order_relaxed);
+              ++n_matches;
               return !HeadSatisfied(tgd, plan, instance, body_match);
             },
-            &pending, tgd_span.id());
-        metrics.tgd_matches.Inc(n_matches.load(std::memory_order_relaxed));
+            &pending);
+        metrics.tgd_matches.Inc(n_matches);
         metrics.batch_triggers.Observe(static_cast<int64_t>(n_pending));
         int64_t applied = 0;
-        // Pooled barrier apply, overlay-exact head: decide each trigger
-        // against the batch overlay (no physical probe), invent its nulls
-        // sequentially — same order as the interleaved loop below, so the
-        // run stays bit-identical — and queue the head tuples for the
-        // relation-sharded insert pass.
-        const plan::HeadOverlayPlan* overlay_plan = OverlayFor(
-            plan,
-            pool != nullptr && compiled == nullptr ? &local_overlays[d]
-                                                   : nullptr,
-            pool);
-        if (overlay_plan != nullptr) {
-          HeadOverlay overlay;
-          overlay.plan = overlay_plan;
-          ShardedInserts inserts(instance.schema().relation_count());
-          bool exhausted = false;
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            if (!overlay.DecideFire(trigger)) continue;
-            result.nulls_created +=
-                QueueTgdStep(tgd, plan, trigger, symbols, &inserts, d,
-                             options.journal);
-            ++result.steps;
-            ++applied;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              exhausted = true;
-              break;
-            }
+        for (size_t t = 0; t < n_pending; ++t) {
+          const Binding& trigger = pending[t];
+          // Re-check: an earlier application may have satisfied it.
+          if (HeadSatisfied(tgd, plan, instance, trigger)) {
+            continue;
           }
-          inserts.Drain(&instance, pool, tgd_span.id());
-          if (exhausted) return result;
-        } else {
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            // Re-check: an earlier application may have satisfied it.
-            if (HeadSatisfied(tgd, plan, instance, trigger)) {
-              continue;
-            }
-            result.nulls_created +=
-                plan != nullptr
-                    ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
-                                          symbols, &tgd, d, options.journal)
-                    : ApplyTgdStep(tgd, trigger, &instance, symbols, d,
-                                   options.journal);
-            ++result.steps;
-            ++applied;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              return result;
-            }
+          result.nulls_created +=
+              plan != nullptr
+                  ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
+                                        symbols, &tgd, d, options.journal)
+                  : ApplyTgdStep(tgd, trigger, &instance, symbols, d,
+                                 options.journal);
+          ++result.steps;
+          ++applied;
+          if (result.steps >= options.max_steps) {
+            result.outcome = ChaseOutcome::kBudgetExhausted;
+            return result;
           }
         }
         tgd_span.AttrInt("collected", static_cast<int64_t>(n_pending))
@@ -1317,13 +1002,12 @@ ChaseResult ChaseOblivious(Instance start,
   TriggerLedger fired;
   const std::vector<plan::EgdPlan>* egd_plans =
       compiled != nullptr ? &compiled->egds : nullptr;
-  const ChaseSchedule schedule =
-      pool != nullptr ? ResolveSchedule(options) : ChaseSchedule::kBarrier;
-  const bool scheduled = schedule != ChaseSchedule::kBarrier;
-  std::vector<TgdFootprint> footprints;
-  if (scheduled && compiled == nullptr) {
-    footprints = plan::ComputeTgdFootprints(tgds);
+  std::vector<TgdFootprint> local_footprints;
+  if (pool != nullptr && compiled == nullptr) {
+    local_footprints = plan::ComputeTgdFootprints(tgds);
   }
+  const std::vector<TgdFootprint>& footprints =
+      compiled != nullptr ? compiled->footprints : local_footprints;
   InstanceWatermark mark = InstanceWatermark::Origin(instance);
   std::vector<std::vector<int>> extras;
   ChaseMetrics& metrics = ChaseMetrics::Get();
@@ -1355,15 +1039,12 @@ ChaseResult ChaseOblivious(Instance start,
       return result;
     }
     InstanceWatermark frontier = instance.TakeWatermark();
-    if (scheduled) {
+    if (pool != nullptr) {
       // Admission happens in the workers (TriggerLedger::Admit through the
       // concurrent fingerprint set); the apply loop only records roots and
-      // inserts the pre-instantiated heads (sharded under kDag — oblivious
-      // needs no head probe, so every batch can defer its inserts).
-      if (!RunTgdPhaseScheduled(
-              tgds, compiled != nullptr ? compiled->footprints : footprints,
-              compiled, /*overlays=*/nullptr, &instance, delta, symbols,
-              &fired, pool, options, schedule, &result)) {
+      // inserts the pre-instantiated heads.
+      if (!RunTgdPhasePooled(tgds, footprints, compiled, &instance, delta,
+                             symbols, &fired, pool, options, &result)) {
         return result;
       }
     } else {
@@ -1376,63 +1057,36 @@ ChaseResult ChaseOblivious(Instance start,
         tgd_span.AttrInt("dep", static_cast<int64_t>(d));
         // Collect unfired triggers first (the instance must not change
         // under the matcher), then fire them. The ledger is only read
-        // during collection (workers filter against it concurrently);
-        // Insert runs in the sequential fire loop, which also collapses
-        // the repeats the extras overlap can produce. As in the
+        // during collection; Insert runs in the fire loop, which also
+        // collapses the repeats the extras overlap can produce. As in the
         // restricted loop, matches are counted locally and flushed to
         // the registry once per batch.
-        std::atomic<int64_t> n_matches{0};
+        int64_t n_matches = 0;
         const size_t n_pending = CollectDeltaMatches(
-            tgd.body, tgd.var_count, instance, delta, pool,
+            tgd.body, tgd.var_count, instance, delta, /*pool=*/nullptr,
             plan != nullptr ? &plan->body : nullptr,
             [&](const Binding& body_match) {
-              n_matches.fetch_add(1, std::memory_order_relaxed);
+              ++n_matches;
               return !fired.Contains(TriggerFingerprint(d, tgd, body_match));
             },
-            &pending, tgd_span.id());
-        metrics.tgd_matches.Inc(n_matches.load(std::memory_order_relaxed));
+            &pending);
+        metrics.tgd_matches.Inc(n_matches);
         metrics.batch_triggers.Observe(static_cast<int64_t>(n_pending));
-        if (pool != nullptr) {
-          // Pooled barrier apply: ledger admission is the whole decide —
-          // no head probe — so every batch defers its inserts to the
-          // relation shards. Null order is the sequential fire order:
-          // bit-identical to the interleaved loop below.
-          ShardedInserts inserts(instance.schema().relation_count());
-          bool exhausted = false;
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            if (!fired.Insert(TriggerFingerprint(d, tgd, trigger), tgd,
-                              trigger)) {
-              continue;
-            }
-            result.nulls_created +=
-                QueueTgdStep(tgd, plan, trigger, symbols, &inserts);
-            ++result.steps;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              exhausted = true;
-              break;
-            }
+        for (size_t t = 0; t < n_pending; ++t) {
+          const Binding& trigger = pending[t];
+          if (!fired.Insert(TriggerFingerprint(d, tgd, trigger), tgd,
+                            trigger)) {
+            continue;
           }
-          inserts.Drain(&instance, pool, tgd_span.id());
-          if (exhausted) return result;
-        } else {
-          for (size_t t = 0; t < n_pending; ++t) {
-            const Binding& trigger = pending[t];
-            if (!fired.Insert(TriggerFingerprint(d, tgd, trigger), tgd,
-                              trigger)) {
-              continue;
-            }
-            result.nulls_created +=
-                plan != nullptr
-                    ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
-                                          symbols)
-                    : ApplyTgdStep(tgd, trigger, &instance, symbols);
-            ++result.steps;
-            if (result.steps >= options.max_steps) {
-              result.outcome = ChaseOutcome::kBudgetExhausted;
-              return result;
-            }
+          result.nulls_created +=
+              plan != nullptr
+                  ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
+                                        symbols)
+                  : ApplyTgdStep(tgd, trigger, &instance, symbols);
+          ++result.steps;
+          if (result.steps >= options.max_steps) {
+            result.outcome = ChaseOutcome::kBudgetExhausted;
+            return result;
           }
         }
       }
@@ -1464,8 +1118,8 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
   // violates must bind one of them: pass k+1 pivots only on the tuples
   // pass k dirtied, until no merge fires.
   std::vector<std::vector<int>> frontier;
-  // Violated-trigger buffer reused across passes and egds (pooled collect
-  // path) — same Binding-capacity reuse as the tgd phase's `pending`.
+  // Violated-trigger buffer reused across passes and egds — same
+  // Binding-capacity reuse as the tgd phase's `pending`.
   std::vector<Binding> violated;
   bool first_pass = true;
   while (true) {
@@ -1482,12 +1136,27 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
       if (!TouchesDelta(egd.body, delta)) continue;
       const plan::EgdPlan* plan =
           egd_plans != nullptr ? &(*egd_plans)[e] : nullptr;
-      // Applies one merge, sharing the conflict / dirty / budget
-      // bookkeeping between the two collection disciplines below. Returns
-      // false when the fixpoint must stop (out is final). `trigger` is the
-      // body match that forced the merge, journaled so deletion
-      // propagation can tell when a merge's justification dies.
-      auto apply_merge = [&](const Binding& trigger, Value a, Value b) {
+      // Batched collect-then-apply: one enumeration (fanned across the
+      // pool's workers when there is one) gathers every trigger violated
+      // under the resolution before this batch, then the merges run in
+      // enumeration order, skipping pairs an earlier merge of the batch
+      // already equated. Triggers a merge newly enables are caught by the
+      // next pass's dirty frontier, so the fixpoint closure is reached
+      // with one successful merge per class the closure removes (each
+      // union lowers the class count by exactly one), whatever the merge
+      // order.
+      const size_t n_violated = CollectDeltaMatches(
+          egd.body, egd.var_count, *instance, delta, pool,
+          plan != nullptr ? &plan->body : nullptr,
+          [&](const Binding& m) {
+            return m.values[egd.left_var] != m.values[egd.right_var];
+          },
+          &violated, pass_span.id());
+      for (size_t t = 0; t < n_violated; ++t) {
+        const Binding& trigger = violated[t];
+        Value a = instance->ResolveValue(trigger.values[egd.left_var]);
+        Value b = instance->ResolveValue(trigger.values[egd.right_var]);
+        if (a == b) continue;
         Instance::MergeResult merge = instance->MergeValues(a, b);
         ++out.steps;
         if (merge.conflict) {
@@ -1498,11 +1167,13 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
                            symbols->ValueToString(merge.winner), " and ",
                            symbols->ValueToString(merge.loser))
                   : "egd equates distinct constants";
-          return false;
+          return out;
         }
         PDX_DCHECK(merge.merged);
         merge_counter.Inc();
         if (journal != nullptr) {
+          // The body match that forced the merge, so deletion propagation
+          // can tell when the merge's justification dies.
           journal->RecordEgd(e, trigger.values.data(),
                              trigger.values.size());
         }
@@ -1516,43 +1187,7 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
         merged_any = true;
         if (out.steps >= max_steps) {
           out.budget_exhausted = true;
-          return false;
-        }
-        return true;
-      };
-      if (pool != nullptr) {
-        // Batched collect-then-apply: one parallel enumeration gathers
-        // every trigger violated under the pre-pass resolution, then the
-        // merges run sequentially, skipping pairs an earlier merge of the
-        // batch already equated. Triggers a merge newly enables are caught
-        // by the next pass's dirty frontier — the same closure the rescan
-        // discipline reaches, with the same number of successful merges
-        // (each union lowers the class count by exactly one); only the
-        // union order, i.e. which root survives, can differ.
-        const size_t n_violated = CollectDeltaMatches(
-            egd.body, egd.var_count, *instance, delta, pool,
-            plan != nullptr ? &plan->body : nullptr,
-            [&](const Binding& m) {
-              return m.values[egd.left_var] != m.values[egd.right_var];
-            },
-            &violated);
-        for (size_t t = 0; t < n_violated; ++t) {
-          const Binding& trigger = violated[t];
-          Value a = instance->ResolveValue(trigger.values[egd.left_var]);
-          Value b = instance->ResolveValue(trigger.values[egd.right_var]);
-          if (a == b) continue;
-          if (!apply_merge(trigger, a, b)) return out;
-        }
-      } else {
-        Binding trigger = Binding::Empty(egd.var_count);
-        // Merges never invalidate tuple indexes, so the view stays valid
-        // across the whole pass; the matcher consults the live resolver.
-        while (FindViolatedEgdTriggerDelta(*instance, delta, egd, plan,
-                                           &trigger)) {
-          if (!apply_merge(trigger, trigger.values[egd.left_var],
-                           trigger.values[egd.right_var])) {
-            return out;
-          }
+          return out;
         }
       }
     }
@@ -1579,7 +1214,11 @@ const char* StrategyName(ChaseStrategy strategy) {
     case ChaseStrategy::kRestrictedNaive: return "restricted_naive";
     case ChaseStrategy::kRestricted: return "restricted";
   }
-  return "unknown";
+  // Reached only through an enum value outside the declared kinds; a
+  // missing case above is a -Wswitch warning at compile time.
+  PDX_CHECK(false) << "unhandled ChaseStrategy "
+                   << static_cast<int>(strategy);
+  return nullptr;
 }
 
 // True when this run executes through compiled plans: opted in (the
@@ -1629,36 +1268,6 @@ ChaseResult ChaseDispatch(Instance start, const std::vector<Tgd>& tgds,
   return result;
 }
 
-}  // namespace
-
-const char* ScheduleName(ChaseSchedule schedule) {
-  switch (schedule) {
-    case ChaseSchedule::kBarrier: return "barrier";
-    case ChaseSchedule::kSpeculative: return "speculative";
-    case ChaseSchedule::kDag: return "dag";
-  }
-  return "unknown";
-}
-
-ChaseSchedule ResolveSchedule(const ChaseOptions& options) {
-  // The override is read once per process, like PDX_FORCE_INTERPRETER:
-  // sanitizer lanes pin a schedule for a whole test binary.
-  static const int forced = [] {
-    const char* env = std::getenv("PDX_FORCE_SCHEDULE");
-    if (env == nullptr || env[0] == '\0') return -1;
-    if (std::strcmp(env, "barrier") == 0) return 0;
-    if (std::strcmp(env, "speculative") == 0) return 1;
-    if (std::strcmp(env, "dag") == 0) return 2;
-    return -1;
-  }();
-  if (forced >= 0) return static_cast<ChaseSchedule>(forced);
-  if (options.schedule != ChaseSchedule::kBarrier) return options.schedule;
-  return options.speculative ? ChaseSchedule::kSpeculative
-                             : ChaseSchedule::kBarrier;
-}
-
-namespace {
-
 ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
                      const std::vector<Egd>& egds, SymbolTable* symbols,
                      const ChaseOptions& options) {
@@ -1666,9 +1275,6 @@ ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
   obs::Span run_span(obs::Tracer::Global(), "chase");
   run_span.AttrStr("strategy", StrategyName(options.strategy))
       .AttrInt("threads", ResolveThreadCount(options))
-      .AttrStr("schedule", ScheduleName(ResolveSchedule(options)))
-      .AttrBool("speculative",
-                ResolveSchedule(options) == ChaseSchedule::kSpeculative)
       .AttrBool("compiled", UsesPlans(options))
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));

@@ -46,33 +46,6 @@ enum class ChaseStrategy {
   kOblivious,
 };
 
-// How the tgd phase of one round is scheduled across pool workers
-// (kRestricted/kOblivious with num_threads > 1; sequential runs ignore it).
-enum class ChaseSchedule {
-  // Per-dependency barrier: collect-parallel, apply before the next
-  // dependency's collect starts. Fresh nulls are invented in the
-  // deterministic sequential apply order, so results are *bit-identical*
-  // across thread counts. The pooled apply still uses the overlay decide
-  // + relation-sharded insert fast path (DESIGN.md §4d) — decisions and
-  // insert order are sequential, only the store writes fan out.
-  kBarrier,
-  // PR 5's speculative mode: workers instantiate heads during collect
-  // (private null ranges), and collection of footprint-compatible
-  // dependencies overlaps the current apply via the topological
-  // scheduler. Results equal barrier's up to bijective null renaming.
-  kSpeculative,
-  // Footprint-DAG scheduling: the speculative collect machinery plus the
-  // sharded apply discipline — overlay decide for exact heads, physical
-  // re-check otherwise, per-relation parallel insert when no collect is
-  // in flight. The most parallel schedule; same canonical-equivalence
-  // contract as kSpeculative.
-  kDag,
-};
-
-// Printable name ("barrier"/"speculative"/"dag"), used by span attributes,
-// bench output and pdxcli --schedule.
-const char* ScheduleName(ChaseSchedule schedule);
-
 class ChaseJournal;
 
 struct ChaseOptions {
@@ -84,43 +57,19 @@ struct ChaseOptions {
 
   ChaseStrategy strategy = ChaseStrategy::kRestricted;
 
-  // Worker threads for delta trigger enumeration (kRestricted/kOblivious):
-  // 0 = hardware concurrency, 1 = today's fully sequential path. Any value
-  // > 1 switches trigger collection to partitioned parallel enumeration
-  // with a deterministic sequential apply phase, and the egd fixpoint to
-  // batched collect-then-apply passes. Results are identical at every
-  // setting — same outcome, steps, nulls_created and canonical fingerprint
-  // (see DESIGN.md "Parallel execution model").
+  // Worker threads for the delta engines (kRestricted/kOblivious):
+  // 0 = hardware concurrency, 1 = the fully sequential path. With more
+  // than one, each round's tgd phase runs on a pool: workers collect
+  // triggers and pre-build their head rows, and collection of
+  // footprint-compatible dependencies overlaps the current apply; egd
+  // passes fan their trigger collection across the same pool. Every
+  // decision that writes — the restricted re-check, the oblivious ledger
+  // insert, each fresh null — stays on the calling thread in enumeration
+  // order, so a pooled run is bit-identical to the sequential one: same
+  // outcome, steps, nulls_created and instance, null ids included (see
+  // DESIGN.md "Parallel execution model"). Either is deterministic from
+  // run to run.
   int num_threads = 0;
-
-  // Speculative parallel execution (kRestricted/kOblivious with
-  // num_threads > 1; ignored otherwise). Workers instantiate tgd heads
-  // during the collect phase, drawing fresh nulls from private
-  // SymbolTable ranges (one exact ReserveNullRange per delta partition),
-  // so the sequential apply phase only
-  // re-checks and inserts; oblivious ledger admission moves into the
-  // workers (ConcurrentFingerprintSet); and collection of the next
-  // compatible dependency overlaps the current apply phase
-  // (cross-dependency pipelining). Outcome, steps, nulls_created, rounds
-  // and every resolved-view property stay invariant, but the *identities*
-  // of fresh nulls become schedule-dependent: results are equal to the
-  // barrier mode's only up to a bijective null renaming (checked via
-  // CanonicalizeNulls; see DESIGN.md "Speculative head instantiation").
-  // Off by default so the default configuration keeps bit-identical
-  // fingerprints across thread counts.
-  //
-  // Kept for source compatibility: `speculative = true` is shorthand for
-  // `schedule = ChaseSchedule::kSpeculative`. ResolveSchedule() defines
-  // the precedence.
-  bool speculative = false;
-
-  // The tgd-phase schedule (see ChaseSchedule). kBarrier unless
-  // `speculative` asks for kSpeculative; the PDX_FORCE_SCHEDULE
-  // environment variable ("barrier" | "speculative" | "dag") overrides
-  // both process-wide, the way PDX_FORCE_INTERPRETER pins the
-  // interpreter — tools/check.sh's TSan lanes use it to pin the DAG
-  // path. See ResolveSchedule().
-  ChaseSchedule schedule = ChaseSchedule::kBarrier;
 
   // Compile the setting into match/apply plans (plan/ir.h) and execute
   // trigger enumeration, head filters and the egd fixpoint through them
@@ -198,13 +147,6 @@ struct ChaseResult {
   }
 };
 
-// The schedule a run will actually use: the PDX_FORCE_SCHEDULE
-// environment variable ("barrier" | "speculative" | "dag"; read once per
-// process, unknown values ignored) wins, then an explicit
-// options.schedule != kBarrier, then the legacy `speculative` bool, else
-// kBarrier.
-ChaseSchedule ResolveSchedule(const ChaseOptions& options);
-
 // Runs the restricted (standard) chase of `start` with the given tgds and
 // egds, in the sense of [9]: a tgd fires for a body homomorphism only if no
 // head extension already exists; fresh labeled nulls (from `symbols`)
@@ -265,25 +207,25 @@ struct EgdPlan;
 // null. Shared by the delta chase engines, the solution-aware chase and
 // the pde solvers' branch-local fixpoints.
 //
-// With a non-null `pool`, each pass switches from find-one-then-rescan to
-// batched collect-then-apply: all violated triggers of a pass are
-// enumerated up front (fanned across the pool's workers against the
-// immutable pre-pass state) and their merges applied sequentially,
-// skipping triggers an earlier merge already resolved. Triggers a merge
-// newly enables are caught by the next pass's dirty frontier, so the
-// fixpoint closure — and the number of successful merges, since every
-// union lowers the class count by exactly one — is the same as the
-// sequential path's; only the union order (hence null-root identity)
-// may differ, which every resolved view is invariant under.
+// Each pass is a batched collect-then-apply per egd: all of the egd's
+// violated triggers are enumerated up front against the state before its
+// batch (fanned across `pool`'s workers when it is non-null) and their
+// merges applied sequentially, skipping triggers an earlier merge already
+// resolved.
+// Triggers a merge newly enables are caught by the next pass's dirty
+// frontier. Every union lowers the class count by exactly one, so the
+// number of successful merges is fixed by the fixpoint closure; only the
+// union order (hence null-root identity) depends on the enumeration
+// order, which every resolved view is invariant under.
 //
 // With non-null `egd_plans` (compiled plans indexed parallel to `egds`),
 // trigger enumeration executes through the dependency compiler's plans
 // instead of the interpreter; the fixpoint closure is unchanged.
 //
 // With a non-null `journal`, every successful merge is recorded under the
-// trigger binding that forced it (sequential apply side only — both
-// collection disciplines apply merges on the calling thread), feeding
-// deletion propagation's egd-death detection (chase/stream.h).
+// trigger binding that forced it (merges are applied on the calling
+// thread only), feeding deletion propagation's egd-death detection
+// (chase/stream.h).
 EgdFixpointOutcome RunEgdsToFixpointDelta(
     const std::vector<Egd>& egds, Instance* instance,
     const InstanceWatermark& mark, int64_t max_steps,

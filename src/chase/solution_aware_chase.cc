@@ -18,7 +18,7 @@ namespace {
 // The chase-family metrics (shared names with chase.cc: the registry
 // find-or-creates, so both files increment the same slots).
 struct SaMetrics {
-  obs::Counter runs, steps, rounds, tgd_matches, pipeline_overlaps;
+  obs::Counter runs, steps, rounds, tgd_matches;
   static SaMetrics& Get() {
     static SaMetrics* m = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -27,8 +27,6 @@ struct SaMetrics {
       metrics->steps = reg.GetCounter("pdx_chase_steps_total");
       metrics->rounds = reg.GetCounter("pdx_chase_rounds_total");
       metrics->tgd_matches = reg.GetCounter("pdx_chase_tgd_matches_total");
-      metrics->pipeline_overlaps =
-          reg.GetCounter("pdx_chase_pipeline_overlaps_total");
       return metrics;
     }();
     return *m;
@@ -139,128 +137,6 @@ void CollectSolutionAwareTriggers(const Instance& instance,
   }
 }
 
-// Relation footprints for cross-dependency pipelining (same rule as
-// chase.cc): collecting a tgd reads its body and head relations of the
-// chased instance (matches + the HasMatch filter; the witness search runs
-// in the immutable `solution`), applying writes its head relations.
-// Collection of B may overlap application of A iff A's writes are
-// disjoint from B's reads. The solution-aware chase invents no nulls —
-// witnesses come from the solution — so pipelining leaves the result
-// bit-identical, not just canonically equal.
-struct SaFootprint {
-  std::vector<bool> reads;
-  std::vector<bool> writes;
-};
-
-std::vector<SaFootprint> ComputeSaFootprints(const std::vector<Tgd>& tgds,
-                                             int relation_count) {
-  std::vector<SaFootprint> out(tgds.size());
-  for (size_t d = 0; d < tgds.size(); ++d) {
-    out[d].reads.assign(relation_count, false);
-    out[d].writes.assign(relation_count, false);
-    for (const Atom& atom : tgds[d].body) out[d].reads[atom.relation] = true;
-    for (const Atom& atom : tgds[d].head) {
-      out[d].reads[atom.relation] = true;
-      out[d].writes[atom.relation] = true;
-    }
-  }
-  return out;
-}
-
-bool SaPipelineCompatible(const SaFootprint& applying,
-                          const SaFootprint& collecting) {
-  for (size_t r = 0; r < applying.writes.size(); ++r) {
-    if (applying.writes[r] && collecting.reads[r]) return false;
-  }
-  return true;
-}
-
-// An asynchronously startable collection of one tgd's triggers (the
-// ParallelFor body of CollectSolutionAwareTriggers packaged with its
-// buffers so it can outlive the call): Start() hands the partitions to
-// the pool's workers while the caller applies the previous tgd's
-// triggers, Join() waits and concatenates in partition order.
-class SaCollectJob {
- public:
-  SaCollectJob(const Instance* instance, const DeltaView* delta,
-               const Instance* solution, const Tgd* tgd,
-               const plan::TgdPlan* plan, ThreadPool* pool,
-               uint64_t parent_span, bool pipelined)
-      : instance_(instance),
-        delta_(delta),
-        solution_(solution),
-        tgd_(tgd),
-        plan_(plan),
-        pool_(pool),
-        parent_span_(parent_span),
-        pipelined_(pipelined) {
-    parts_ = PartitionDeltaMatches(tgd->body, *delta,
-                                   static_cast<size_t>(pool->size()) * 4);
-    buffers_.resize(parts_.size());
-  }
-
-  void Run() {
-    pool_->ParallelFor(parts_.size(),
-                       [this](size_t p) { RunPartition(p); });
-  }
-
-  void Start() {
-    pool_->ParallelForAsync(parts_.size(),
-                            [this](size_t p) { RunPartition(p); });
-    started_async_ = true;
-  }
-
-  std::vector<SolutionAwareTrigger> Join() {
-    if (started_async_) {
-      pool_->Wait();
-      started_async_ = false;
-    }
-    std::vector<SolutionAwareTrigger> out;
-    for (std::vector<SolutionAwareTrigger>& buffer : buffers_) {
-      out.insert(out.end(), std::make_move_iterator(buffer.begin()),
-                 std::make_move_iterator(buffer.end()));
-    }
-    return out;
-  }
-
- private:
-  void RunPartition(size_t p) {
-    obs::Span part_span(obs::Tracer::Global(), "chase.collect_part",
-                        parent_span_);
-    part_span.AttrInt("partition", static_cast<int64_t>(p))
-        .AttrBool("pipelined", pipelined_);
-    const auto collect = [&](const Binding& body_match) {
-      CollectOneTrigger(*instance_, *solution_, *tgd_, plan_, body_match,
-                        &buffers_[p]);
-      return true;
-    };
-    if (plan_ != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(plan_->body, *instance_, *delta_,
-                                            parts_[p],
-                                            Binding::Empty(tgd_->var_count),
-                                            collect);
-    } else {
-      EnumerateMatchesDeltaPartition(tgd_->body, tgd_->var_count, *instance_,
-                                     *delta_, parts_[p],
-                                     Binding::Empty(tgd_->var_count),
-                                     collect);
-    }
-    part_span.AttrInt("collected", static_cast<int64_t>(buffers_[p].size()));
-  }
-
-  const Instance* instance_;
-  const DeltaView* delta_;
-  const Instance* solution_;
-  const Tgd* tgd_;
-  const plan::TgdPlan* plan_;  // nullptr => interpret
-  ThreadPool* pool_;
-  uint64_t parent_span_;
-  bool pipelined_;
-  bool started_async_ = false;
-  std::vector<DeltaPartition> parts_;
-  std::vector<std::vector<SolutionAwareTrigger>> buffers_;
-};
-
 ChaseResult SolutionAwareChaseImpl(const Instance& start,
                                    const std::vector<Tgd>& tgds,
                                    const std::vector<Egd>& egds,
@@ -286,13 +162,6 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
   const auto plan_for = [&](size_t d) -> const plan::TgdPlan* {
     return compiled != nullptr ? &compiled->tgds[d] : nullptr;
   };
-  // ChaseOptions::speculative here enables only cross-dependency
-  // pipelining (there is no null invention to speculate on).
-  const bool pipelining = options.speculative && pool != nullptr;
-  std::vector<SaFootprint> footprints;
-  if (pipelining) {
-    footprints = ComputeSaFootprints(tgds, instance.schema().relation_count());
-  }
   // Delta-driven fixpoint: per round, only triggers touching facts added
   // (or tuples dirtied by an egd merge) since the previous round are
   // evaluated. Round one sees everything as new.
@@ -331,44 +200,17 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
       return result;
     }
     InstanceWatermark frontier = instance.TakeWatermark();
-    std::vector<size_t> active;
-    for (size_t d = 0; d < tgds.size(); ++d) {
-      if (TouchesDelta(tgds[d].body, delta)) active.push_back(d);
-    }
-    std::unique_ptr<SaCollectJob> ahead;
     bool exhausted = false;
-    for (size_t i = 0; i < active.size() && !exhausted; ++i) {
-      size_t d = active[i];
+    for (size_t d = 0; d < tgds.size() && !exhausted; ++d) {
       const Tgd& tgd = tgds[d];
+      if (!TouchesDelta(tgd.body, delta)) continue;
       obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
       tgd_span.AttrInt("dep", static_cast<int64_t>(d));
       std::vector<SolutionAwareTrigger> pending;
-      if (ahead != nullptr) {
-        // Collected while the previous tgd was applying.
-        pending = ahead->Join();
-        ahead.reset();
-      } else if (pipelining) {
-        SaCollectJob job(&instance, &delta, &solution, &tgd, plan_for(d),
-                         pool, tgd_span.id(), /*pipelined=*/false);
-        job.Run();
-        pending = job.Join();
-      } else {
-        CollectSolutionAwareTriggers(instance, delta, solution, tgd,
-                                     plan_for(d), pool, &pending,
-                                     tgd_span.id());
-      }
+      CollectSolutionAwareTriggers(instance, delta, solution, tgd,
+                                   plan_for(d), pool, &pending,
+                                   tgd_span.id());
       tgd_span.AttrInt("collected", static_cast<int64_t>(pending.size()));
-      // Overlap the next active tgd's collection with this apply phase
-      // when the footprints permit.
-      if (pipelining && i + 1 < active.size() &&
-          SaPipelineCompatible(footprints[d], footprints[active[i + 1]])) {
-        ahead = std::make_unique<SaCollectJob>(
-            &instance, &delta, &solution, &tgds[active[i + 1]],
-            plan_for(active[i + 1]), pool, tgd_span.id(),
-            /*pipelined=*/true);
-        ahead->Start();
-        SaMetrics::Get().pipeline_overlaps.Inc();
-      }
       const plan::TgdPlan* plan = plan_for(d);
       for (const SolutionAwareTrigger& trigger : pending) {
         // Re-check on the body match: an earlier application this round
@@ -415,9 +257,6 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
         }
       }
     }
-    // Join any still-running collect-ahead before the round state goes
-    // away (its results are dropped on budget exhaustion).
-    if (ahead != nullptr) ahead->Join();
     if (exhausted) return result;
     mark = std::move(frontier);
     extras.clear();

@@ -74,7 +74,7 @@ struct StreamStats {
 // fingerprints — leaving the state exactly as before the call, which is
 // what lets the serving layer replay a failed coalesced batch per ticket.
 //
-// Restricted strategy only (resume_from's contract); any schedule, thread
+// Restricted strategy only (resume_from's contract); any thread
 // count and compile mode. Not thread-safe: one writer, like the admission
 // queue that drives it in src/serve/.
 class StreamingChase {

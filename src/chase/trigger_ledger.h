@@ -64,10 +64,11 @@ inline uint64_t TriggerFingerprintRow(size_t dep_index, const Value* row,
 // re-forms — delete → re-insert fires exactly once more, not zero times
 // and not twice (stressed in trigger_ledger_test).
 //
-// The fingerprint set is a sharded concurrent set, so admission can run
-// from pool workers during a speculative collect phase (Admit); the
-// by-root generation index stays sequential — it is only written from the
-// apply loop (RecordRoots / Insert) and read between rounds (RetireRoots).
+// The fingerprint set is a sharded concurrent set, so pool workers can
+// filter against it (Contains) during the pooled collect phase while the
+// apply loop inserts; the by-root generation index stays sequential — it
+// is only written from the apply loop (RecordRoots / Insert) and read
+// between rounds (RetireRoots).
 class TriggerLedger {
  public:
   // Claims the fingerprint; true iff this caller won it (the trigger is

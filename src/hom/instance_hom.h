@@ -54,10 +54,10 @@ Instance ApplyAssignment(const Instance& source,
 // CanonicalizeNulls(a).CanonicalFingerprint() against b's is a sound
 // isomorphism check that — unlike the raw CanonicalFingerprint(), whose
 // sort tie-breaks on original null ids — does not depend on which ids a
-// thread schedule happened to hand out. Completeness caveat: members of a
-// color class the refinement cannot split are individualized in original-
-// id order; for truly automorphic nulls (every case the chase produces)
-// the result is id-independent.
+// run's enumeration order happened to hand out. Completeness caveat:
+// members of a color class the refinement cannot split are individualized
+// in original-id order; for truly automorphic nulls (every case the chase
+// produces) the result is id-independent.
 Instance CanonicalizeNulls(const Instance& instance);
 
 }  // namespace pdx

@@ -63,12 +63,6 @@ TgdPlan CompileTgd(const Tgd& tgd,
 EgdPlan CompileEgd(const Egd& egd,
                    const CompilerHints& hints = CompilerHints());
 
-// Structural analysis of a tgd head for the sharded apply's overlay
-// decide (see HeadOverlayPlan in plan/ir.h for the exactness conditions).
-// Pure function of the head's shape; CompileTgd embeds the result in the
-// apply template, and the interpreter path calls it directly.
-HeadOverlayPlan AnalyzeHeadOverlay(const Tgd& tgd);
-
 // Read/write relation footprints of a dependency set, indexed parallel to
 // `tgds` and sized to the largest relation id any of them mentions.
 // reads = body ∪ head relations, writes = head relations; the containment

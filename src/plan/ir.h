@@ -119,28 +119,6 @@ struct HeadAtom {
   int arity = 0;
 };
 
-// Head-overlay analysis of one tgd (plan/compiler.cc, AnalyzeHeadOverlay).
-//
-// The sharded apply phase wants to decide "is this trigger's head already
-// satisfied by an earlier trigger fired in the same batch?" without a
-// physical index probe. That reduction is exact only for a restricted
-// head shape: the head atoms must form a *single* component under the
-// relation "shares an existential variable", and no relation may appear
-// twice across the head. Under those two conditions, a trigger's head is
-// satisfied by same-batch inserts iff an earlier trigger of the same tgd
-// fired with an equal projection onto `key` (the head's universal
-// variables): fresh nulls tie every same-batch satisfaction to a single
-// earlier trigger, and relation-uniqueness plus connectivity force the
-// atom-by-atom identification that makes the projections equal. Heads
-// that fail either condition (e.g. `H(x,z), H(y,z)`, where permutation
-// matching across two same-relation atoms breaks the projection argument,
-// or multi-component heads whose pieces can be satisfied by different
-// triggers) keep the physical re-check; `exact` says which case this is.
-struct HeadOverlayPlan {
-  bool exact = false;
-  std::vector<VariableId> key;  // universal head variables, ascending
-};
-
 // Which relations one tgd reads and writes, as bitsets indexed by
 // RelationId (sized to the largest relation the dependency set mentions;
 // consumers treat out-of-range as false). `reads` covers body *and* head
@@ -154,7 +132,7 @@ struct TgdFootprint {
 };
 
 // The fused apply template of one tgd: everything the chase's apply phase
-// (barrier or speculative) needs to instantiate the head from a complete
+// (sequential or pooled) needs to instantiate the head from a complete
 // body match, absorbing what chase.cc's SpecLayout used to re-derive per
 // round. Parser validation guarantees existential variables never occur in
 // the body, so every complete body match binds exactly the non-existential
@@ -165,13 +143,12 @@ struct ApplyTemplate {
   int fresh_per_trigger = 0;  // = existentials.size()
   std::vector<VariableId> existentials;  // ascending variable order
   // Positions within a trigger's flat head row holding an existential
-  // variable, with the variable: the slots the speculative collect patches
+  // variable, with the variable: the slots the pooled collect patches
   // once a partition's exact null range is reserved.
   std::vector<std::pair<size_t, VariableId>> head_null_slots;
   std::vector<bool> body_bound;  // size var_count
   std::vector<HeadSlot> slots;   // flat, atoms concatenated in head order
   std::vector<HeadAtom> head_atoms;
-  HeadOverlayPlan overlay;
 };
 
 struct TgdPlan {

@@ -77,27 +77,6 @@ bool Instance::AddFact(RelationId relation, const Value* values, size_t n) {
   return true;
 }
 
-void Instance::EnsureOwnedStore(RelationId relation) {
-  PDX_CHECK_GE(relation, 0);
-  PDX_CHECK_LT(relation, static_cast<RelationId>(stores_.size()));
-  Mutable(relation);
-}
-
-bool Instance::AddFactSharded(RelationId relation, Tuple tuple) {
-  PDX_DCHECK(stores_[relation].use_count() == 1)
-      << "AddFactSharded needs EnsureOwnedStore first";
-  PDX_CHECK_EQ(static_cast<int>(tuple.size()), schema_->arity(relation))
-      << "arity mismatch inserting into " << schema_->relation_name(relation);
-  if (!resolver_.trivial()) {
-    for (Value& v : tuple) v = resolver_.Resolve(v);
-  }
-  RelationStore& store = *stores_[relation];
-  const uint64_t hash = HashValueSeq(tuple.data(), tuple.size());
-  if (store.DedupFind(tuple, hash) >= 0) return false;
-  store.Append(tuple, hash);
-  return true;
-}
-
 int Instance::FindResolvedTupleIndex(RelationId relation,
                                      const Tuple& resolved) const {
   const RelationStore& store = *stores_[relation];

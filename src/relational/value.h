@@ -96,21 +96,11 @@ class SymbolTable {
 
   // Allocates a labeled null never seen before in this universe. Safe to
   // call from any thread: the id counter is a single relaxed fetch_add.
-  Value FreshNull() { return Value::Null(ReserveNullRange(1)); }
-
-  // Reserves `count` consecutive null ids [first, first + count) for the
-  // caller's exclusive use and returns `first`. One lock-free fetch_add,
-  // so pool workers can draw private ranges concurrently (the speculative
-  // collect reserves one exact-size range per delta partition). Reserved
-  // ids that are never turned into facts are simply retired — null ids
-  // must be unique, not dense — but callers should keep retirement rare:
-  // holes inflate every id-indexed structure downstream.
-  uint32_t ReserveNullRange(uint32_t count) {
-    return next_null_id_.fetch_add(count, std::memory_order_relaxed);
+  Value FreshNull() {
+    return Value::Null(next_null_id_.fetch_add(1, std::memory_order_relaxed));
   }
 
-  // Upper bound on null ids handed out so far (including retired ids that
-  // never reached an instance).
+  // Upper bound on null ids handed out so far.
   uint32_t null_count() const {
     return next_null_id_.load(std::memory_order_relaxed);
   }

@@ -1,5 +1,6 @@
 #include "serve/metrics.h"
 
+#include <string>
 #include <vector>
 
 namespace pdx {
@@ -7,7 +8,7 @@ namespace serve {
 
 namespace {
 
-obs::Histogram Latency(const char* name) {
+obs::Histogram Latency(const std::string& name) {
   // 100us .. 10s, decade buckets: wide enough for both the in-memory ping
   // path and a generic-solver certain-answer run.
   return obs::MetricsRegistry::Global().GetHistogram(
@@ -36,29 +37,14 @@ ServeMetrics MakeServeMetrics() {
   m.generation_lag = reg.GetGauge("pdx_serve_generation_lag");
   m.generation_seq = reg.GetGauge("pdx_serve_generation_seq");
   m.tenants = reg.GetGauge("pdx_serve_tenants");
-  m.latency_ping = Latency("pdx_serve_latency_micros_ping");
-  m.latency_load = Latency("pdx_serve_latency_micros_load");
-  m.latency_write = Latency("pdx_serve_latency_micros_write");
-  m.latency_retract = Latency("pdx_serve_latency_micros_retract");
-  m.latency_exists = Latency("pdx_serve_latency_micros_exists");
-  m.latency_certain = Latency("pdx_serve_latency_micros_certain");
-  m.latency_contains = Latency("pdx_serve_latency_micros_contains");
-  m.latency_stats = Latency("pdx_serve_latency_micros_stats");
+  for (size_t v = 0; v < kVerbCount; ++v) {
+    m.latency[v] = Latency(std::string("pdx_serve_latency_micros_") +
+                           VerbName(static_cast<Verb>(v)));
+  }
   return m;
 }
 
 }  // namespace
-
-obs::Histogram& ServeMetrics::LatencyFor(std::string_view verb) {
-  if (verb == "ping") return latency_ping;
-  if (verb == "load") return latency_load;
-  if (verb == "write") return latency_write;
-  if (verb == "retract") return latency_retract;
-  if (verb == "exists") return latency_exists;
-  if (verb == "certain") return latency_certain;
-  if (verb == "contains") return latency_contains;
-  return latency_stats;
-}
 
 ServeMetrics& GlobalServeMetrics() {
   static ServeMetrics* metrics = new ServeMetrics(MakeServeMetrics());

@@ -5,12 +5,14 @@
 // MetricsRegistry and exported over the daemon's /metrics endpoint in
 // Prometheus 0.0.4 text format. The registry has no label support, so the
 // per-verb latency histograms are distinct metrics
-// (pdx_serve_latency_micros_<verb>) rather than one labeled family.
+// (pdx_serve_latency_micros_<verb>, one per entry of the verb table in
+// serve/verbs.h) rather than one labeled family.
 
+#include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "obs/metrics.h"
+#include "serve/verbs.h"
 
 namespace pdx {
 namespace serve {
@@ -42,18 +44,13 @@ struct ServeMetrics {
   // Tenant registry.
   obs::Gauge tenants;
 
-  // Per-verb wall-clock latency, in microseconds.
-  obs::Histogram latency_ping;
-  obs::Histogram latency_load;
-  obs::Histogram latency_write;
-  obs::Histogram latency_retract;
-  obs::Histogram latency_exists;
-  obs::Histogram latency_certain;
-  obs::Histogram latency_contains;
-  obs::Histogram latency_stats;
+  // Per-verb wall-clock latency, in microseconds, indexed by Verb.
+  // Requests that name no known verb observe none of them.
+  std::array<obs::Histogram, kVerbCount> latency;
 
-  // The histogram for `verb`, or latency_stats for unknown verbs.
-  obs::Histogram& LatencyFor(std::string_view verb);
+  obs::Histogram& LatencyFor(Verb verb) {
+    return latency[static_cast<size_t>(verb)];
+  }
 };
 
 // The process-wide instance (handles into MetricsRegistry::Global()).

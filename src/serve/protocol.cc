@@ -87,7 +87,9 @@ std::string ProtocolHandler::HandleLine(std::string_view line,
 
   StatusOr<JsonValue> parsed = ParseJson(line);
   JsonValue response;
-  std::string verb = "stats";  // bucket for unparseable requests
+  // Stays nullopt for unparseable requests and unknown verbs, which
+  // observe no latency histogram.
+  std::optional<Verb> verb;
   if (!parsed.ok()) {
     response = ErrorResponse(JsonValue::Null(), parsed.status());
   } else if (!parsed->is_object()) {
@@ -95,8 +97,8 @@ std::string ProtocolHandler::HandleLine(std::string_view line,
         JsonValue::Null(),
         InvalidArgumentError("request must be a JSON object"));
   } else {
-    verb = parsed->GetString("verb");
-    response = Dispatch(*parsed, shutdown_requested);
+    verb = ParseVerb(parsed->GetString("verb"));
+    response = Dispatch(*parsed, verb, shutdown_requested);
   }
 
   if (!response.GetBool("ok")) {
@@ -110,19 +112,22 @@ std::string ProtocolHandler::HandleLine(std::string_view line,
   }
   auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - started);
-  metrics.LatencyFor(verb).Observe(elapsed.count());
+  if (verb.has_value()) metrics.LatencyFor(*verb).Observe(elapsed.count());
   metrics.inflight_requests.Add(-1);
   return response.Dump();
 }
 
 JsonValue ProtocolHandler::Dispatch(const JsonValue& request,
+                                    std::optional<Verb> verb,
                                     bool* shutdown_requested) {
   JsonValue id =
       request.Find("id") != nullptr ? *request.Find("id") : JsonValue::Null();
-  std::string verb = request.GetString("verb");
-  if (verb.empty()) {
-    return ErrorResponse(id,
-                         InvalidArgumentError("request needs a \"verb\""));
+  if (!verb.has_value()) {
+    std::string name = request.GetString("verb");
+    return ErrorResponse(
+        id, InvalidArgumentError(
+                name.empty() ? std::string("request needs a \"verb\"")
+                             : StrCat("unknown verb '", name, "'")));
   }
 
   int64_t deadline_ms = request.GetInt("deadline_ms", 0);
@@ -130,144 +135,139 @@ JsonValue ProtocolHandler::Dispatch(const JsonValue& request,
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(deadline_ms);
 
-  if (verb == "ping") {
-    JsonValue response = OkResponse(id);
-    response.Set("pong", JsonValue::Bool(true));
-    return response;
-  }
-
-  if (verb == "shutdown") {
-    if (shutdown_requested != nullptr) *shutdown_requested = true;
-    JsonValue response = OkResponse(id);
-    response.Set("draining", JsonValue::Bool(true));
-    return response;
-  }
-
-  if (verb == "load") {
-    auto setting_text = RequiredString(request, "setting");
-    if (!setting_text.ok()) {
-      return ErrorResponse(id, setting_text.status());
+  std::shared_ptr<Tenant> tenant;
+  if (VerbIsTenantScoped(*verb)) {
+    auto resolved = ResolveTenant(*registry_, request);
+    if (!resolved.ok()) return ErrorResponse(id, resolved.status());
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return ErrorResponse(
+          id, DeadlineExceededError("deadline expired on arrival"));
     }
-    auto tenant = registry_->Load(*setting_text);
-    if (!tenant.ok()) return ErrorResponse(id, tenant.status());
-    JsonValue response = OkResponse(id);
-    response.Set("tenant", JsonValue::String((*tenant)->id()));
-    if (std::string facts = request.GetString("facts"); !facts.empty()) {
-      auto written = (*tenant)->Write(facts, deadline);
-      if (!written.ok()) {
-        // The tenant stays loaded; only the initial write failed.
-        response = ErrorResponse(id, written.status());
-        response.Set("tenant", JsonValue::String((*tenant)->id()));
-        return response;
+    tenant = *std::move(resolved);
+  }
+
+  switch (*verb) {
+    case Verb::kPing: {
+      JsonValue response = OkResponse(id);
+      response.Set("pong", JsonValue::Bool(true));
+      return response;
+    }
+
+    case Verb::kShutdown: {
+      if (shutdown_requested != nullptr) *shutdown_requested = true;
+      JsonValue response = OkResponse(id);
+      response.Set("draining", JsonValue::Bool(true));
+      return response;
+    }
+
+    case Verb::kLoad: {
+      auto setting_text = RequiredString(request, "setting");
+      if (!setting_text.ok()) {
+        return ErrorResponse(id, setting_text.status());
       }
-      SetGeneration(&response, written->generation, written->fingerprint);
-    } else {
-      std::shared_ptr<const Generation> gen = (*tenant)->Snapshot();
-      SetGeneration(&response, gen->seq(), gen->Fingerprint());
-    }
-    return response;
-  }
-
-  if (verb == "stats") {
-    JsonValue tenants = JsonValue::Array();
-    if (std::string one = request.GetString("tenant"); !one.empty()) {
-      auto tenant = registry_->Find(one);
-      if (!tenant.ok()) return ErrorResponse(id, tenant.status());
-      tenants.Add(StatsEntry((*tenant)->Stats()));
-    } else {
-      for (const auto& tenant : registry_->All()) {
-        tenants.Add(StatsEntry(tenant->Stats()));
+      auto loaded = registry_->Load(*setting_text);
+      if (!loaded.ok()) return ErrorResponse(id, loaded.status());
+      JsonValue response = OkResponse(id);
+      response.Set("tenant", JsonValue::String((*loaded)->id()));
+      if (std::string facts = request.GetString("facts"); !facts.empty()) {
+        auto written = (*loaded)->Write(facts, deadline);
+        if (!written.ok()) {
+          // The tenant stays loaded; only the initial write failed.
+          response = ErrorResponse(id, written.status());
+          response.Set("tenant", JsonValue::String((*loaded)->id()));
+          return response;
+        }
+        SetGeneration(&response, written->generation, written->fingerprint);
+      } else {
+        std::shared_ptr<const Generation> gen = (*loaded)->Snapshot();
+        SetGeneration(&response, gen->seq(), gen->Fingerprint());
       }
+      return response;
     }
-    JsonValue response = OkResponse(id);
-    response.Set("tenants", std::move(tenants));
-    return response;
-  }
 
-  if (verb == "evict") {
-    auto tenant_id = RequiredString(request, "tenant");
-    if (!tenant_id.ok()) return ErrorResponse(id, tenant_id.status());
-    if (Status status = registry_->Evict(*tenant_id); !status.ok()) {
-      return ErrorResponse(id, status);
+    case Verb::kStats: {
+      JsonValue tenants = JsonValue::Array();
+      if (std::string one = request.GetString("tenant"); !one.empty()) {
+        auto found = registry_->Find(one);
+        if (!found.ok()) return ErrorResponse(id, found.status());
+        tenants.Add(StatsEntry((*found)->Stats()));
+      } else {
+        for (const auto& each : registry_->All()) {
+          tenants.Add(StatsEntry(each->Stats()));
+        }
+      }
+      JsonValue response = OkResponse(id);
+      response.Set("tenants", std::move(tenants));
+      return response;
     }
-    JsonValue response = OkResponse(id);
-    response.Set("evicted", JsonValue::String(*tenant_id));
-    return response;
-  }
 
-  // Everything below is tenant-scoped.
-  auto tenant = ResolveTenant(*registry_, request);
-  if (!tenant.ok()) return ErrorResponse(id, tenant.status());
-
-  if (std::chrono::steady_clock::now() >= deadline) {
-    return ErrorResponse(id,
-                         DeadlineExceededError("deadline expired on arrival"));
-  }
-
-  if (verb == "write") {
-    auto facts = RequiredString(request, "facts");
-    if (!facts.ok()) return ErrorResponse(id, facts.status());
-    auto outcome = (*tenant)->Write(*facts, deadline);
-    if (!outcome.ok()) return ErrorResponse(id, outcome.status());
-    JsonValue response = OkResponse(id);
-    SetGeneration(&response, outcome->generation, outcome->fingerprint);
-    return response;
-  }
-
-  if (verb == "retract") {
-    auto facts = RequiredString(request, "facts");
-    if (!facts.ok()) return ErrorResponse(id, facts.status());
-    auto outcome = (*tenant)->Retract(*facts, deadline);
-    if (!outcome.ok()) return ErrorResponse(id, outcome.status());
-    JsonValue response = OkResponse(id);
-    SetGeneration(&response, outcome->generation, outcome->fingerprint);
-    return response;
-  }
-
-  if (verb == "exists") {
-    auto outcome = (*tenant)->Exists(request.GetString("solver", "auto"));
-    if (!outcome.ok()) return ErrorResponse(id, outcome.status());
-    JsonValue response = OkResponse(id);
-    response.Set("exists", JsonValue::Bool(outcome->exists));
-    response.Set("solver", JsonValue::String(outcome->solver));
-    SetGeneration(&response, outcome->generation, outcome->fingerprint);
-    return response;
-  }
-
-  if (verb == "certain") {
-    auto query = RequiredString(request, "query");
-    if (!query.ok()) return ErrorResponse(id, query.status());
-    auto outcome =
-        (*tenant)->Certain(*query, request.GetString("mode", "exact"));
-    if (!outcome.ok()) return ErrorResponse(id, outcome.status());
-    JsonValue response = OkResponse(id);
-    response.Set("no_solution", JsonValue::Bool(outcome->no_solution));
-    if (outcome->is_boolean) {
-      response.Set("boolean", JsonValue::Bool(outcome->boolean_value));
+    case Verb::kEvict: {
+      auto tenant_id = RequiredString(request, "tenant");
+      if (!tenant_id.ok()) return ErrorResponse(id, tenant_id.status());
+      if (Status status = registry_->Evict(*tenant_id); !status.ok()) {
+        return ErrorResponse(id, status);
+      }
+      JsonValue response = OkResponse(id);
+      response.Set("evicted", JsonValue::String(*tenant_id));
+      return response;
     }
-    JsonValue answers = JsonValue::Array();
-    for (const std::string& answer : outcome->answers) {
-      answers.Add(JsonValue::String(answer));
+
+    case Verb::kWrite:
+    case Verb::kRetract: {
+      auto facts = RequiredString(request, "facts");
+      if (!facts.ok()) return ErrorResponse(id, facts.status());
+      auto outcome = *verb == Verb::kWrite
+                         ? tenant->Write(*facts, deadline)
+                         : tenant->Retract(*facts, deadline);
+      if (!outcome.ok()) return ErrorResponse(id, outcome.status());
+      JsonValue response = OkResponse(id);
+      SetGeneration(&response, outcome->generation, outcome->fingerprint);
+      return response;
     }
-    response.Set("answers", std::move(answers));
-    SetGeneration(&response, outcome->generation, outcome->fingerprint);
-    return response;
-  }
 
-  if (verb == "contains") {
-    auto facts = RequiredString(request, "facts");
-    if (!facts.ok()) return ErrorResponse(id, facts.status());
-    auto outcome = (*tenant)->Contains(*facts);
-    if (!outcome.ok()) return ErrorResponse(id, outcome.status());
-    JsonValue response = OkResponse(id);
-    response.Set("contains", JsonValue::Bool(outcome->contains));
-    SetGeneration(&response, outcome->generation, outcome->fingerprint);
-    return response;
-  }
+    case Verb::kExists: {
+      auto outcome = tenant->Exists(request.GetString("solver", "auto"));
+      if (!outcome.ok()) return ErrorResponse(id, outcome.status());
+      JsonValue response = OkResponse(id);
+      response.Set("exists", JsonValue::Bool(outcome->exists));
+      response.Set("solver", JsonValue::String(outcome->solver));
+      SetGeneration(&response, outcome->generation, outcome->fingerprint);
+      return response;
+    }
 
-  return ErrorResponse(id,
-                       InvalidArgumentError(StrCat("unknown verb '", verb,
-                                                   "'")));
+    case Verb::kCertain: {
+      auto query = RequiredString(request, "query");
+      if (!query.ok()) return ErrorResponse(id, query.status());
+      auto outcome =
+          tenant->Certain(*query, request.GetString("mode", "exact"));
+      if (!outcome.ok()) return ErrorResponse(id, outcome.status());
+      JsonValue response = OkResponse(id);
+      response.Set("no_solution", JsonValue::Bool(outcome->no_solution));
+      if (outcome->is_boolean) {
+        response.Set("boolean", JsonValue::Bool(outcome->boolean_value));
+      }
+      JsonValue answers = JsonValue::Array();
+      for (const std::string& answer : outcome->answers) {
+        answers.Add(JsonValue::String(answer));
+      }
+      response.Set("answers", std::move(answers));
+      SetGeneration(&response, outcome->generation, outcome->fingerprint);
+      return response;
+    }
+
+    case Verb::kContains: {
+      auto facts = RequiredString(request, "facts");
+      if (!facts.ok()) return ErrorResponse(id, facts.status());
+      auto outcome = tenant->Contains(*facts);
+      if (!outcome.ok()) return ErrorResponse(id, outcome.status());
+      JsonValue response = OkResponse(id);
+      response.Set("contains", JsonValue::Bool(outcome->contains));
+      SetGeneration(&response, outcome->generation, outcome->fingerprint);
+      return response;
+    }
+  }
+  PDX_CHECK(false) << "unhandled serve verb " << static_cast<int>(*verb);
+  return JsonValue::Null();
 }
 
 }  // namespace serve

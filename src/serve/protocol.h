@@ -9,7 +9,8 @@
 // Request object:
 //   {"id": <any>,            // echoed verbatim in the response
 //    "verb": "ping" | "load" | "write" | "retract" | "exists" |
-//            "certain" | "contains" | "stats" | "evict" | "shutdown",
+//            "certain" | "contains" | "stats" | "evict" | "shutdown"
+//            (the verb table in serve/verbs.h),
 //    "tenant": "<hex id>",   // every verb except ping/load/stats/shutdown
 //    "deadline_ms": 30000,   // optional per-request deadline
 //    "setting": "...",       // load: setting file text
@@ -27,11 +28,13 @@
 // assert on.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "serve/json.h"
 #include "serve/registry.h"
+#include "serve/verbs.h"
 
 namespace pdx {
 namespace serve {
@@ -55,7 +58,10 @@ class ProtocolHandler {
   std::string HandleLine(std::string_view line, bool* shutdown_requested);
 
  private:
-  JsonValue Dispatch(const JsonValue& request, bool* shutdown_requested);
+  // `verb` is the request's parsed "verb" field (nullopt when missing or
+  // unknown).
+  JsonValue Dispatch(const JsonValue& request, std::optional<Verb> verb,
+                     bool* shutdown_requested);
 
   TenantRegistry* registry_;
   ProtocolOptions options_;

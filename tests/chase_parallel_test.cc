@@ -1,27 +1,23 @@
-// Cross-validation of the parallel delta chase against the sequential
-// path over the full schedule matrix: schedule ∈ {barrier, speculative,
-// dag} × num_threads ∈ {1, 2, 8} × compile_plans ∈ {on, off}, the chase
-// must produce equivalent results on randomized workloads covering the
-// tgd pipeline, the merge-heavy egd cascade, the oblivious engine,
-// disjoint-footprint families, failing runs, the solver-level verdict,
-// and auto-compaction. Barrier mode (the default) is bit-identical at
-// fixed compile mode — same canonical fingerprint at every thread count;
-// speculative and dag (worker-side head instantiation, concurrent ledger
-// admission, footprint-DAG collect/apply overlap, sharded apply) hand
-// out schedule-dependent null ids, so their results are asserted equal
-// under canonical null renumbering
-// (testing_util::CanonicalizedFingerprint) while outcome, steps,
-// nulls_created and the resolved fact count stay exactly invariant
-// across the whole matrix. The canonicalization helpers themselves are
-// unit-tested below on hand-built instances (the refinement-level tests
-// live in instance_hom_test.cc).
+// Cross-validation of the pooled delta chase against the sequential path
+// over the matrix num_threads ∈ {1, 2, 8} × compile_plans ∈ {on, off}: the
+// chase must produce equivalent results on randomized workloads covering
+// the tgd pipeline, the merge-heavy egd cascade, the oblivious engine,
+// disjoint-footprint families, failing runs, the solver-level verdict, and
+// auto-compaction. At a fixed compile mode, every thread count must give
+// the bit-identical result — same outcome, steps, nulls_created and raw
+// canonical fingerprint — even though pooled runs instantiate heads in
+// the workers and overlap collection across footprint-compatible
+// dependencies: every fresh null is still drawn on the calling thread in
+// enumeration order. Across compile modes (different enumeration orders)
+// results are equal under canonical null renumbering
+// (testing_util::CanonicalizedFingerprint). The canonicalization helpers
+// themselves are unit-tested below on hand-built instances (the
+// refinement-level tests live in instance_hom_test.cc).
 //
 // These tests carry the `parallel` ctest label and are additionally run
-// under TSan by tools/check.sh, which pins one schedule per lane
-// (PDX_FORCE_SPECULATIVE=1, PDX_FORCE_SCHEDULE=dag) so each sanitized
-// pass covers exactly that path — testing_util::SchedulesToTest()
-// narrows the matrix accordingly. Sizes are deliberately modest so the
-// TSan passes stay fast.
+// under TSan by tools/check.sh (default, PDX_FORCE_INTERPRETER=1 and
+// PDX_FORCE_TREE_EXEC=1 lanes). Sizes are deliberately modest so the TSan
+// passes stay fast.
 
 #include <string>
 #include <vector>
@@ -43,14 +39,10 @@ using testing_util::Unwrap;
 constexpr int kThreadCounts[] = {1, 2, 8};
 constexpr bool kCompileModes[] = {true, false};
 
-using testing_util::SchedulesToTest;
-
-// Trace tag for one cell of the schedule matrix.
-std::string CellTag(uint64_t seed, int threads, ChaseSchedule schedule,
-                    bool compile) {
+// Trace tag for one cell of the threads × compile matrix.
+std::string CellTag(uint64_t seed, int threads, bool compile) {
   return "seed " + std::to_string(seed) + " threads " +
-         std::to_string(threads) + " " + ScheduleName(schedule) +
-         (compile ? " compiled" : " interpreted");
+         std::to_string(threads) + (compile ? " compiled" : " interpreted");
 }
 
 struct ParallelChaseTest : ::testing::Test {
@@ -102,24 +94,20 @@ struct ParallelChaseTest : ::testing::Test {
   ChaseResult Run(const Instance& start, const std::vector<Tgd>& tgds,
                   const std::vector<Egd>& egds, int threads,
                   ChaseStrategy strategy = ChaseStrategy::kRestricted,
-                  ChaseSchedule schedule = ChaseSchedule::kBarrier,
                   bool compile = true) {
     ChaseOptions options;
     options.strategy = strategy;
     options.num_threads = threads;
-    options.schedule = schedule;
     options.compile_plans = compile;
     return Chase(start, tgds, egds, &symbols, options);
   }
 
-  // Runs the workload over the full schedule × threads × compile matrix
-  // and asserts all observable results match the single-threaded barrier
-  // reference: exactly in barrier mode (bit-identity holds per compile
-  // mode — compiled and interpreted enumeration orders differ, so each
-  // gets its own exact reference), up to canonical null renumbering under
-  // speculative/dag (outcome, steps, nulls, the resolved fact count and
-  // the canonicalized fingerprint stay invariant across the whole
-  // matrix, compile modes included).
+  // Runs the workload over the threads × compile matrix and asserts all
+  // observable results match the single-threaded reference exactly (the
+  // compiled and interpreted enumeration orders differ, so each compile
+  // mode gets its own exact reference); outcome, steps, nulls, the resolved
+  // fact count and the canonicalized fingerprint stay invariant across the
+  // whole matrix, compile modes included.
   void ExpectThreadInvariant(const Instance& start,
                              const std::vector<Tgd>& tgds,
                              const std::vector<Egd>& egds,
@@ -128,8 +116,7 @@ struct ParallelChaseTest : ::testing::Test {
     uint64_t ref_canonical = CanonicalizedFingerprint(ref0.instance);
     for (bool compile : kCompileModes) {
       ChaseResult ref =
-          Run(start, tgds, egds, /*threads=*/1, strategy,
-              ChaseSchedule::kBarrier, compile);
+          Run(start, tgds, egds, /*threads=*/1, strategy, compile);
       SCOPED_TRACE(std::string("reference, ") +
                    (compile ? "compiled" : "interpreted") + ", seed " +
                    std::to_string(seed));
@@ -138,22 +125,16 @@ struct ParallelChaseTest : ::testing::Test {
       ASSERT_EQ(ref.nulls_created, ref0.nulls_created);
       ASSERT_EQ(CanonicalizedFingerprint(ref.instance), ref_canonical);
       uint64_t ref_fp = ref.instance.CanonicalFingerprint();
-      for (ChaseSchedule schedule : SchedulesToTest()) {
-        for (int threads : kThreadCounts) {
-          ChaseResult got =
-              Run(start, tgds, egds, threads, strategy, schedule, compile);
-          SCOPED_TRACE(CellTag(seed, threads, schedule, compile));
-          ASSERT_EQ(got.outcome, ref.outcome);
-          ASSERT_EQ(got.steps, ref.steps);
-          ASSERT_EQ(got.nulls_created, ref.nulls_created);
-          ASSERT_EQ(got.instance.ResolvedFactCount(),
-                    ref.instance.ResolvedFactCount());
-          if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
-          } else {
-            ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-          }
-        }
+      for (int threads : kThreadCounts) {
+        ChaseResult got = Run(start, tgds, egds, threads, strategy, compile);
+        SCOPED_TRACE(CellTag(seed, threads, compile));
+        ASSERT_EQ(got.outcome, ref.outcome);
+        ASSERT_EQ(got.steps, ref.steps);
+        ASSERT_EQ(got.nulls_created, ref.nulls_created);
+        ASSERT_EQ(got.instance.ResolvedFactCount(),
+                  ref.instance.ResolvedFactCount());
+        ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
+        ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
       }
     }
   }
@@ -188,9 +169,8 @@ TEST_F(ParallelChaseTest, ObliviousIsThreadInvariant) {
 // A multi-dependency workload whose tgd families have pairwise disjoint
 // relation footprints (the shape of bench_chase's disjoint_4x), so the
 // footprint-DAG scheduler actually overlaps collection with application
-// across families and the sharded apply distributes inserts over four
-// target relations. Exercises the collect-ahead and shard paths rather
-// than leaving them to footprint luck in the other workloads.
+// across families. Exercises the collect-ahead path rather than leaving
+// it to footprint luck in the other workloads.
 TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {
   Schema wide;
   SymbolTable wide_symbols;
@@ -224,32 +204,26 @@ TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {
       ASSERT_EQ(ref.outcome, ChaseOutcome::kSuccess);
       uint64_t ref_fp = ref.instance.CanonicalFingerprint();
       uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
-      for (ChaseSchedule schedule : SchedulesToTest()) {
-        for (int threads : kThreadCounts) {
-          ChaseOptions options;
-          options.num_threads = threads;
-          options.schedule = schedule;
-          options.compile_plans = compile;
-          ChaseResult got = Chase(start, deps.tgds, {}, &wide_symbols, options);
-          SCOPED_TRACE(CellTag(seed, threads, schedule, compile));
-          ASSERT_EQ(got.outcome, ref.outcome);
-          ASSERT_EQ(got.steps, ref.steps);
-          ASSERT_EQ(got.nulls_created, ref.nulls_created);
-          if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
-          } else {
-            ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-          }
-        }
+      for (int threads : kThreadCounts) {
+        ChaseOptions options;
+        options.num_threads = threads;
+        options.compile_plans = compile;
+        ChaseResult got = Chase(start, deps.tgds, {}, &wide_symbols, options);
+        SCOPED_TRACE(CellTag(seed, threads, compile));
+        ASSERT_EQ(got.outcome, ref.outcome);
+        ASSERT_EQ(got.steps, ref.steps);
+        ASSERT_EQ(got.nulls_created, ref.nulls_created);
+        ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
+        ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
       }
     }
   }
 }
 
-// Constant/constant clashes: the batched egd path may apply merges in a
-// different order than the sequential scan, but whether the closure holds
-// a clash is order-independent, so the verdict must agree. (Step counts
-// of failing runs are not comparable across orders and are not asserted.)
+// Constant/constant clashes: compiled and interpreted enumeration may
+// apply merges in different orders, but whether the closure holds a clash
+// is order-independent, so the verdict must agree. (Step counts of failing
+// runs are not comparable across orders and are not asserted.)
 TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
   int failures = 0;
   for (uint64_t seed = 50; seed < 58; ++seed) {
@@ -259,24 +233,16 @@ TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
     for (bool compile : kCompileModes) {
       ChaseResult compile_ref =
           Run(start, copy_tgds, key_egds, /*threads=*/1,
-              ChaseStrategy::kRestricted, ChaseSchedule::kBarrier, compile);
+              ChaseStrategy::kRestricted, compile);
       ASSERT_EQ(compile_ref.outcome, ref.outcome);
-      for (ChaseSchedule schedule : SchedulesToTest()) {
-        for (int threads : kThreadCounts) {
-          ChaseResult got =
-              Run(start, copy_tgds, key_egds, threads,
-                  ChaseStrategy::kRestricted, schedule, compile);
-          SCOPED_TRACE(CellTag(seed, threads, schedule, compile));
-          ASSERT_EQ(got.outcome, ref.outcome);
-          if (ref.outcome == ChaseOutcome::kSuccess) {
-            if (schedule == ChaseSchedule::kBarrier) {
-              ASSERT_EQ(got.instance.CanonicalFingerprint(),
-                        compile_ref.instance.CanonicalFingerprint());
-            } else {
-              ASSERT_EQ(CanonicalizedFingerprint(got.instance),
-                        CanonicalizedFingerprint(ref.instance));
-            }
-          }
+      for (int threads : kThreadCounts) {
+        ChaseResult got = Run(start, copy_tgds, key_egds, threads,
+                              ChaseStrategy::kRestricted, compile);
+        SCOPED_TRACE(CellTag(seed, threads, compile));
+        ASSERT_EQ(got.outcome, ref.outcome);
+        if (ref.outcome == ChaseOutcome::kSuccess) {
+          ASSERT_EQ(got.instance.CanonicalFingerprint(),
+                    compile_ref.instance.CanonicalFingerprint());
         }
       }
     }
@@ -287,8 +253,7 @@ TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
 }
 
 // Solver-level verdicts through SolveDataExchange: solution existence and
-// the universal solution itself must not depend on num_threads or on
-// speculative execution.
+// the universal solution itself must not depend on num_threads.
 TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
   SymbolTable de_symbols;
   PdeSetting setting = Unwrap(
@@ -322,27 +287,19 @@ TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
                                  &de_symbols, ref_options),
                "SolveDataExchange");
     (ref.has_solution ? with_solution : without)++;
-    for (ChaseSchedule schedule : SchedulesToTest()) {
-      for (int threads : kThreadCounts) {
-        ChaseOptions options;
-        options.num_threads = threads;
-        options.schedule = schedule;
-        DataExchangeResult got =
-            Unwrap(SolveDataExchange(setting, source, setting.EmptyInstance(),
-                                     &de_symbols, options),
-                   "SolveDataExchange");
-        SCOPED_TRACE(CellTag(seed, threads, schedule, /*compile=*/true));
-        ASSERT_EQ(got.has_solution, ref.has_solution);
-        if (ref.has_solution) {
-          ASSERT_EQ(got.nulls_created, ref.nulls_created);
-          if (schedule == ChaseSchedule::kBarrier) {
-            ASSERT_EQ(got.universal_solution->CanonicalFingerprint(),
-                      ref.universal_solution->CanonicalFingerprint());
-          } else {
-            ASSERT_EQ(CanonicalizedFingerprint(*got.universal_solution),
-                      CanonicalizedFingerprint(*ref.universal_solution));
-          }
-        }
+    for (int threads : kThreadCounts) {
+      ChaseOptions options;
+      options.num_threads = threads;
+      DataExchangeResult got =
+          Unwrap(SolveDataExchange(setting, source, setting.EmptyInstance(),
+                                   &de_symbols, options),
+                 "SolveDataExchange");
+      SCOPED_TRACE(CellTag(seed, threads, /*compile=*/true));
+      ASSERT_EQ(got.has_solution, ref.has_solution);
+      if (ref.has_solution) {
+        ASSERT_EQ(got.nulls_created, ref.nulls_created);
+        ASSERT_EQ(got.universal_solution->CanonicalFingerprint(),
+                  ref.universal_solution->CanonicalFingerprint());
       }
     }
   }
@@ -363,33 +320,24 @@ TEST_F(ParallelChaseTest, CompactionPreservesResults) {
       Chase(start, egd_heavy_tgds, egd_heavy_egds, &symbols, plain);
   EXPECT_EQ(no_compact.compactions, 0);
 
-  for (ChaseSchedule schedule : SchedulesToTest()) {
-    for (int threads : kThreadCounts) {
-      ChaseOptions options;
-      options.num_threads = threads;
-      options.schedule = schedule;
-      options.compact_duplicate_ratio = 0.2;
-      options.compact_min_facts = 32;
-      ChaseResult got =
-          Chase(start, egd_heavy_tgds, egd_heavy_egds, &symbols, options);
-      SCOPED_TRACE(std::string("threads ") + std::to_string(threads) + " " +
-                   ScheduleName(schedule));
-      ASSERT_EQ(got.outcome, ChaseOutcome::kSuccess);
-      EXPECT_GT(got.compactions, 0);
-      ASSERT_EQ(got.steps, no_compact.steps);
-      if (schedule == ChaseSchedule::kBarrier) {
-        ASSERT_EQ(got.instance.CanonicalFingerprint(),
-                  no_compact.instance.CanonicalFingerprint());
-      } else {
-        ASSERT_EQ(CanonicalizedFingerprint(got.instance),
-                  CanonicalizedFingerprint(no_compact.instance));
-      }
-      // Compaction drops resolved duplicates from the raw stores, and the
-      // resolved view is untouched.
-      EXPECT_LE(got.instance.fact_count(), no_compact.instance.fact_count());
-      ASSERT_EQ(got.instance.ResolvedFactCount(),
-                no_compact.instance.ResolvedFactCount());
-    }
+  for (int threads : kThreadCounts) {
+    ChaseOptions options;
+    options.num_threads = threads;
+    options.compact_duplicate_ratio = 0.2;
+    options.compact_min_facts = 32;
+    ChaseResult got =
+        Chase(start, egd_heavy_tgds, egd_heavy_egds, &symbols, options);
+    SCOPED_TRACE(std::string("threads ") + std::to_string(threads));
+    ASSERT_EQ(got.outcome, ChaseOutcome::kSuccess);
+    EXPECT_GT(got.compactions, 0);
+    ASSERT_EQ(got.steps, no_compact.steps);
+    ASSERT_EQ(got.instance.CanonicalFingerprint(),
+              no_compact.instance.CanonicalFingerprint());
+    // Compaction drops resolved duplicates from the raw stores, and the
+    // resolved view is untouched.
+    EXPECT_LE(got.instance.fact_count(), no_compact.instance.fact_count());
+    ASSERT_EQ(got.instance.ResolvedFactCount(),
+              no_compact.instance.ResolvedFactCount());
   }
 }
 

@@ -289,26 +289,22 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
   }
 
   // A randomized parallel configuration of the delta solve (thread count
-  // and schedule drawn per seed; narrowed to the pinned schedule under
-  // the TSan lanes) must return the same verdict, and the same universal
+  // drawn per seed) must return the same verdict, and the same universal
   // solution up to null renaming.
   ChaseOptions parallel_options = delta_options;
   const int kThreadChoices[] = {1, 2, 8};
   parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-  parallel_options.schedule = testing_util::DrawSchedule(rng.UniformInt(3));
   DataExchangeResult parallel = Unwrap(SolveDataExchange(
       setting, source, target, &symbols, parallel_options));
   EXPECT_EQ(parallel.has_solution, delta.has_solution)
-      << "seed " << seed << " threads " << parallel_options.num_threads
-      << " schedule " << ScheduleName(parallel_options.schedule);
+      << "seed " << seed << " threads " << parallel_options.num_threads;
   if (parallel.has_solution && delta.has_solution) {
     ASSERT_TRUE(parallel.universal_solution.has_value());
     EXPECT_EQ(parallel.nulls_created, delta.nulls_created) << "seed " << seed;
     EXPECT_EQ(
         testing_util::CanonicalizedFingerprint(*parallel.universal_solution),
         testing_util::CanonicalizedFingerprint(*delta.universal_solution))
-        << "seed " << seed << " threads " << parallel_options.num_threads
-        << " schedule " << ScheduleName(parallel_options.schedule);
+        << "seed " << seed << " threads " << parallel_options.num_threads;
   }
 }
 
@@ -379,29 +375,25 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
       << "engine disagreement on seed " << seed << "\nI:\n"
       << start.ToString(symbols);
 
-  // A randomized parallel configuration of the delta chase (threads and
-  // schedule drawn per seed; narrowed to the pinned schedule under the
-  // TSan lanes): same outcome always; on success, the same step count —
-  // pending sets are schedule-invariant — and the same result up to null
-  // renaming.
+  // A randomized parallel configuration of the delta chase (thread count
+  // drawn per seed): same outcome always; on success, the same step count
+  // — pending sets are thread-count-invariant — and the same result up to
+  // null renaming.
   ChaseOptions parallel_options = delta_options;
   const int kThreadChoices[] = {1, 2, 8};
   parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-  parallel_options.schedule = testing_util::DrawSchedule(rng.UniformInt(3));
   ChaseResult parallel =
       Chase(start, deps->tgds, deps->egds, &symbols, parallel_options);
   ASSERT_EQ(parallel.outcome, delta.outcome)
       << "parallel disagreement on seed " << seed << " threads "
-      << parallel_options.num_threads << " schedule "
-      << ScheduleName(parallel_options.schedule) << "\nI:\n"
+      << parallel_options.num_threads << "\nI:\n"
       << start.ToString(symbols);
   if (delta.outcome == ChaseOutcome::kSuccess) {
     EXPECT_EQ(parallel.steps, delta.steps) << "seed " << seed;
     EXPECT_EQ(parallel.nulls_created, delta.nulls_created) << "seed " << seed;
     EXPECT_EQ(testing_util::CanonicalizedFingerprint(parallel.instance),
               testing_util::CanonicalizedFingerprint(delta.instance))
-        << "seed " << seed << " threads " << parallel_options.num_threads
-        << " schedule " << ScheduleName(parallel_options.schedule);
+        << "seed " << seed << " threads " << parallel_options.num_threads;
   }
 
   // Plan-vs-interpreter cross-validation: flipping compile_plans on the

@@ -165,23 +165,18 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
         << start.ToString(symbols_);
 
     // A randomized parallel configuration of the same delta chase: thread
-    // count and schedule (barrier/speculative/dag) drawn per trial
-    // (narrowed to the pinned schedule under PDX_FORCE_SPECULATIVE /
-    // PDX_FORCE_SCHEDULE, i.e. the TSan lanes). The parallel run must
-    // agree with the sequential delta run on outcome; on success,
-    // per-round pending sets are schedule-invariant, so steps must match
-    // exactly and the results must be equal up to null renaming.
+    // count drawn per trial. The parallel run must agree with the
+    // sequential delta run on outcome; on success, per-round pending sets
+    // are thread-count-invariant, so steps must match exactly and the
+    // results must be equal up to null renaming.
     ChaseOptions parallel_options = delta_options;
     const int kThreadChoices[] = {1, 2, 8};
     parallel_options.num_threads = kThreadChoices[rng.UniformInt(3)];
-    parallel_options.schedule =
-        testing_util::DrawSchedule(rng.UniformInt(3));
     ChaseResult parallel =
         Chase(start, deps->tgds, deps->egds, &symbols_, parallel_options);
     ASSERT_EQ(parallel.outcome, delta.outcome)
         << "parallel disagreement, trial " << trial << " threads "
-        << parallel_options.num_threads << " schedule "
-        << ScheduleName(parallel_options.schedule) << "\nI:\n"
+        << parallel_options.num_threads << "\nI:\n"
         << start.ToString(symbols_);
     if (delta.outcome == ChaseOutcome::kSuccess) {
       EXPECT_EQ(parallel.steps, delta.steps) << "trial " << trial;
@@ -190,7 +185,6 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
       EXPECT_EQ(testing_util::CanonicalizedFingerprint(parallel.instance),
                 testing_util::CanonicalizedFingerprint(delta.instance))
           << "trial " << trial << " threads " << parallel_options.num_threads
-          << " schedule " << ScheduleName(parallel_options.schedule)
           << "\nI:\n" << start.ToString(symbols_);
     }
 
@@ -282,11 +276,10 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
 // Streaming churn fuzz: a random ±Δ stream absorbed batch-by-batch by a
 // StreamingChase must track a fresh engine chasing the net instance —
 // dependency satisfaction and homomorphic equivalence after every batch —
-// whatever the schedule, thread count and compile mode drawn for the
-// trial. The universe is constant-only E facts, so the egd-bearing rule
-// set only ever merges invented nulls: no churn order can fail the chase,
-// and deleting an egd firing's body exercises the full re-chase fallback
-// instead.
+// whatever the thread count and compile mode drawn for the trial. The
+// universe is constant-only E facts, so the egd-bearing rule set only ever
+// merges invented nulls: no churn order can fail the chase, and deleting
+// an egd firing's body exercises the full re-chase fallback instead.
 TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
   Rng rng(GetParam() + 6000);
   const char* kRuleSets[] = {
@@ -319,7 +312,6 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
     options.compile_plans = rng.UniformInt(2) == 1;
     const int kThreadChoices[] = {1, 2, 8};
     options.num_threads = kThreadChoices[rng.UniformInt(3)];
-    options.schedule = testing_util::DrawSchedule(rng.UniformInt(3));
 
     ChurnOptions churn_options;
     churn_options.delete_rate = 0.2;
@@ -348,8 +340,8 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
       testing_util::AssertHomEquivalent(
           stream.instance(), scratch.instance,
           "trial " + std::to_string(trial) + " batch " +
-              std::to_string(batch_idx) + " schedule " +
-              ScheduleName(options.schedule));
+              std::to_string(batch_idx) + " threads " +
+              std::to_string(options.num_threads));
     }
   }
 }

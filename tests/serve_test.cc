@@ -676,6 +676,37 @@ TEST(ServeProtocolTest, ShutdownVerbSetsFlagAfterResponse) {
   EXPECT_TRUE(shutdown_requested);
 }
 
+// Latency is filed under the verb that was served: an evict lands in its
+// own histogram, and neither it nor an unknown verb moves the stats one.
+TEST(ServeProtocolTest, LatencyIsFiledUnderTheServedVerb) {
+  TenantRegistry registry;
+  auto tenant = registry.Load(kExample1);
+  ASSERT_TRUE(tenant.ok());
+  ProtocolHandler handler(&registry, ProtocolOptions());
+  // Same bounds as serve/metrics.cc, so these find the daemon's own
+  // histograms.
+  const std::vector<int64_t> bounds = {100,     1'000,     10'000,
+                                       100'000, 1'000'000, 10'000'000};
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Histogram stats_latency =
+      reg.GetHistogram("pdx_serve_latency_micros_stats", bounds);
+  obs::Histogram evict_latency =
+      reg.GetHistogram("pdx_serve_latency_micros_evict", bounds);
+  const int64_t stats_before = stats_latency.Value().count;
+  const int64_t evict_before = evict_latency.Value().count;
+
+  JsonValue evicted =
+      Handle(handler, R"({"verb": "evict", "tenant": ")" +
+                          (*tenant)->id() + "\"}");
+  EXPECT_TRUE(evicted.GetBool("ok")) << evicted.Dump();
+  JsonValue unknown = Handle(handler, R"({"verb": "frobnicate"})");
+  EXPECT_FALSE(unknown.GetBool("ok"));
+
+  EXPECT_EQ(stats_latency.Value().count, stats_before)
+      << "evict and unknown verbs must not be filed under stats";
+  EXPECT_EQ(evict_latency.Value().count, evict_before + 1);
+}
+
 // --- Full socket round trip ----------------------------------------------
 
 class ServeSocketTest : public ::testing::Test {

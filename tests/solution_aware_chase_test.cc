@@ -147,13 +147,11 @@ TEST_F(SolutionAwareChaseTest, NoApplicableStepLeavesStartUnchanged) {
   EXPECT_TRUE(result.instance.FactsEqual(start));
 }
 
-// Cross-dependency pipelining (options.speculative with a pool): the
-// solution-aware chase invents no nulls — witnesses come from the
-// solution — so overlapping collection of the next disjoint-footprint
-// dependency with the current apply phase must keep results BIT-identical
-// to the sequential run (same fingerprint, not just isomorphic), at every
-// thread count.
-TEST_F(SolutionAwareChaseTest, PipeliningKeepsResultsBitIdentical) {
+// Pooled collection: the solution-aware chase invents no nulls —
+// witnesses come from the solution — so collecting triggers on a pool must
+// keep results BIT-identical to the sequential run (same fingerprint, not
+// just isomorphic), at every thread count.
+TEST_F(SolutionAwareChaseTest, PooledRunsKeepResultsBitIdentical) {
   Schema wide;
   SymbolTable wide_symbols;
   for (const char* name : {"A0", "B0", "A1", "B1"}) {
@@ -183,7 +181,6 @@ TEST_F(SolutionAwareChaseTest, PipeliningKeepsResultsBitIdentical) {
   for (int threads : {2, 8}) {
     ChaseOptions options;
     options.num_threads = threads;
-    options.speculative = true;
     ChaseResult got =
         SolutionAwareChase(start, deps->tgds, {}, solution, options);
     ASSERT_EQ(got.outcome, ref.outcome) << "threads " << threads;

@@ -2,10 +2,8 @@
 #define PDX_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "gtest/gtest.h"
 #include "base/status.h"
@@ -58,11 +56,11 @@ inline PdeSetting MakePathSetting(SymbolTable* symbols) {
 
 // Fingerprint after canonical null renumbering (CanonicalizeNulls in
 // hom/instance_hom.h): invariant under any bijective renaming of nulls,
-// which is exactly the equivalence speculative parallel chase results are
-// unique up to. Raw CanonicalFingerprint() tie-breaks its fact sort on
-// original null ids, so it can differ between isomorphic instances whose
-// nulls sit in symmetric positions — use this for cross-schedule
-// comparisons.
+// which is exactly the equivalence chase results of different enumeration
+// orders (compiled vs interpreted plans) are unique up to. Raw
+// CanonicalFingerprint() tie-breaks its fact sort on original null ids, so
+// it can differ between isomorphic instances whose nulls sit in symmetric
+// positions — use this when comparing such runs.
 inline uint64_t CanonicalizedFingerprint(const Instance& instance) {
   return CanonicalizeNulls(instance).CanonicalFingerprint();
 }
@@ -79,39 +77,6 @@ inline void AssertHomEquivalent(const Instance& a, const Instance& b,
       << "no homomorphism a -> b" << (context.empty() ? "" : ": ") << context;
   EXPECT_TRUE(FindInstanceHomomorphism(b, a).has_value())
       << "no homomorphism b -> a" << (context.empty() ? "" : ": ") << context;
-}
-
-// True when the environment forces speculative chase execution
-// (tools/check.sh sets PDX_FORCE_SPECULATIVE=1 for the TSan pass so every
-// parallel-labeled chase exercises the speculative path).
-inline bool ForceSpeculative() {
-  const char* env = std::getenv("PDX_FORCE_SPECULATIVE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// The schedules a parallel-invariance test should exercise. All three by
-// default. Under PDX_FORCE_SCHEDULE (which ResolveSchedule makes win
-// process-wide anyway) or the legacy PDX_FORCE_SPECULATIVE, only the
-// forced one — tools/check.sh's TSan lanes pin a schedule so the
-// sanitized runs cover exactly that path instead of re-running every mode
-// at triple cost.
-inline std::vector<ChaseSchedule> SchedulesToTest() {
-  if (const char* env = std::getenv("PDX_FORCE_SCHEDULE")) {
-    std::string_view forced(env);
-    if (forced == "barrier") return {ChaseSchedule::kBarrier};
-    if (forced == "speculative") return {ChaseSchedule::kSpeculative};
-    if (forced == "dag") return {ChaseSchedule::kDag};
-  }
-  if (ForceSpeculative()) return {ChaseSchedule::kSpeculative};
-  return {ChaseSchedule::kBarrier, ChaseSchedule::kSpeculative,
-          ChaseSchedule::kDag};
-}
-
-// Maps a random draw to a schedule for fuzz-style trials: uniform over
-// SchedulesToTest(), so a pinned TSan lane fuzzes only the pinned path.
-inline ChaseSchedule DrawSchedule(uint32_t draw) {
-  std::vector<ChaseSchedule> schedules = SchedulesToTest();
-  return schedules[draw % schedules.size()];
 }
 
 }  // namespace testing_util

@@ -10,7 +10,9 @@
 # run repeatedly: once on the default compiled-plan path, once with
 # PDX_FORCE_INTERPRETER=1 pinning the retained interpreter, and once
 # with PDX_FORCE_TREE_EXEC=1 pinning the recursive tree executor (the
-# match VM's kill switch).
+# match VM's kill switch). The chase has one pooled path, so the TSan
+# stage needs no schedule lanes: the plain `ctest -L parallel` run
+# covers it.
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
 # --quick`: VM-vs-tree cross-check plus a conservative throughput floor
@@ -227,30 +229,23 @@ if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
-  echo "== thread sanitizer build (parallel tests, speculative forced) =="
+  echo "== thread sanitizer build (parallel tests) =="
   cmake -B build-tsan -S . -DPDX_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
     --target thread_pool_test trigger_ledger_test chase_parallel_test \
-    sharded_apply_test fuzz_test obs_test serve_test stream_test
-  # PDX_FORCE_SPECULATIVE=1 makes every parallel-labeled chase take the
-  # speculative path (worker-side head instantiation, concurrent ledger,
-  # cross-dependency pipelining) — code TSan most needs to see; the
-  # barrier path is the default everywhere else and already sanitized by
-  # earlier PRs' runs.
-  PDX_FORCE_SPECULATIVE=1 ctest --test-dir build-tsan -L parallel \
+    fuzz_test obs_test serve_test stream_test
+  # Every parallel-labeled chase with num_threads > 1 takes the one pooled
+  # path (worker-side head instantiation, concurrent ledger admission,
+  # footprint-DAG collect/apply overlap, pooled egd collection) — the code
+  # TSan most needs to see.
+  ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
-  # And once more with plans disabled: the speculative engine's
-  # interpreter lane (worker-side interpreted matching) stays data-race
-  # clean even though compiled plans are the default.
-  PDX_FORCE_SPECULATIVE=1 PDX_FORCE_INTERPRETER=1 ctest \
-    --test-dir build-tsan -L parallel \
-    --output-on-failure -j "$jobs" --timeout 600
-  # The footprint-DAG schedule adds the relation-sharded apply fan-out and
-  # the combined collect-ahead batches on top of the speculative
-  # machinery; pin it for its own sanitized pass.
-  echo "== thread sanitizer rerun (dag schedule forced) =="
-  PDX_FORCE_SCHEDULE=dag ctest --test-dir build-tsan -L parallel \
+  # And once more with plans disabled: the pooled path's interpreter lane
+  # (worker-side interpreted matching) stays data-race clean even though
+  # compiled plans are the default.
+  echo "== thread sanitizer rerun (interpreter forced) =="
+  PDX_FORCE_INTERPRETER=1 ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
   # Tree-executor lane: parallel collection with the VM kill switch on —
   # the recursive executor must stay race-free when pool workers
