@@ -6,26 +6,21 @@
 //
 // Per workload and strategy it reports wall time (best of `kRepeats`),
 // chase steps, resolved result facts, and derived facts per second; per
-// workload it reports the naive/delta speedup. A second axis
-// (compiled_vs_interpreted) A/Bs the dependency compiler of plan/ against
-// the retained interpreter at 1 thread on the largest workloads. Strategies are also
-// cross-checked for resolved-fingerprint agreement, so a run doubles as a
-// coarse correctness gate. The egd_heavy workloads are the A/B for the
-// union-find value layer: every invented null is merged by a key egd, so
-// the naive engine pays a relation rebuild per merge while the delta
-// engine pays one union plus re-examination of the dirty tuples.
-//
-// A third axis (bytecode_vs_tree) A/Bs the match-loop bytecode VM of
-// hom/match_vm.h against the recursive tree executor it replaced, on the
-// compiled delta strategy at 1 thread — step- and fingerprint-cross-checked
-// like compiled_vs_interpreted.
+// workload it reports the naive/delta speedup. The delta chase is
+// cross-checked against the naive one — the reference oracle — for
+// fingerprint agreement, so a run doubles as a coarse correctness gate.
+// The egd_heavy workloads are the A/B for the union-find value layer:
+// every invented null is merged by a key egd, so the naive engine pays a
+// relation rebuild per merge while the delta engine pays one union plus
+// re-examination of the dirty tuples. A second axis (thread_scaling) runs
+// the delta chase at 1/2/4/8 worker threads.
 //
 // Usage: bench_chase [output.json]   (default BENCH_chase.json in cwd)
-//        bench_chase --quick         (perf smoke gate: pipeline_n512 under
-//                                     both executors; exits nonzero if the
-//                                     VM is slower than the conservative
-//                                     facts/sec floor or the executors
-//                                     disagree)
+//        bench_chase --quick         (perf smoke gate: pipeline_n512,
+//                                     delta vs one naive run; exits
+//                                     nonzero if the delta chase is slower
+//                                     than the conservative facts/sec
+//                                     floor or the engines disagree)
 
 #include <chrono>
 #include <cstdio>
@@ -35,8 +30,6 @@
 #include <vector>
 
 #include "chase/chase.h"
-#include "hom/instance_hom.h"
-#include "hom/match_vm.h"
 #include "logic/parser.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -53,11 +46,6 @@ struct StrategyStats {
   int64_t result_facts = 0;
   double facts_per_sec = 0;
   uint64_t fingerprint = 0;
-  // Fingerprint after canonical null renumbering (computed outside the
-  // timed region): the cross-check for runs whose enumeration orders —
-  // hence null identities — differ (compiled vs interpreted), which must
-  // produce the same instance up to a bijective null renaming.
-  uint64_t canonical_fingerprint = 0;
 };
 
 struct WorkloadResult {
@@ -146,11 +134,10 @@ struct BenchContext {
 StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
                      const std::vector<Tgd>& tgds,
                      const std::vector<Egd>& egds, ChaseStrategy strategy,
-                     int num_threads = 1, bool compile_plans = true) {
+                     int num_threads = 1, int repeats = kRepeats) {
   ChaseOptions options;
   options.strategy = strategy;
   options.num_threads = num_threads;
-  options.compile_plans = compile_plans;
   options.max_steps = 10'000'000;
   StrategyStats stats;
   // The metrics registry is the authoritative step count: the JSON below
@@ -160,7 +147,7 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
   // registry and falls back to the engine's count.)
   static obs::Counter chase_steps =
       obs::MetricsRegistry::Global().GetCounter("pdx_chase_steps_total");
-  for (int rep = 0; rep < kRepeats; ++rep) {
+  for (int rep = 0; rep < repeats; ++rep) {
     int64_t steps_before = chase_steps.Value();
     auto t0 = std::chrono::steady_clock::now();
     ChaseResult result = Chase(start, tgds, egds, symbols, options);
@@ -180,11 +167,7 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
     // engines are compared on the same (materialized-equivalent) view.
     stats.result_facts =
         static_cast<int64_t>(result.instance.ResolvedFactCount());
-    if (rep == 0) {
-      stats.fingerprint = result.instance.CanonicalFingerprint();
-      stats.canonical_fingerprint =
-          CanonicalizeNulls(result.instance).CanonicalFingerprint();
-    }
+    if (rep == 0) stats.fingerprint = result.instance.CanonicalFingerprint();
   }
   // Throughput in derived facts (result minus input) per second.
   double derived =
@@ -198,12 +181,13 @@ StrategyStats RunOne(SymbolTable* symbols, const Instance& start,
 WorkloadResult RunWorkload(BenchContext& ctx, const std::string& name,
                            const Instance& start,
                            const std::vector<Tgd>& tgds,
-                           const std::vector<Egd>& egds) {
+                           const std::vector<Egd>& egds,
+                           int naive_repeats = kRepeats) {
   WorkloadResult result;
   result.name = name;
   result.input_facts = static_cast<int64_t>(start.fact_count());
-  result.naive =
-      RunOne(&ctx.symbols, start, tgds, egds, ChaseStrategy::kRestrictedNaive);
+  result.naive = RunOne(&ctx.symbols, start, tgds, egds,
+                        ChaseStrategy::kRestrictedNaive, 1, naive_repeats);
   result.delta =
       RunOne(&ctx.symbols, start, tgds, egds, ChaseStrategy::kRestricted);
   PDX_CHECK(result.naive.fingerprint == result.delta.fingerprint)
@@ -216,102 +200,6 @@ WorkloadResult RunWorkload(BenchContext& ctx, const std::string& name,
                result.delta.wall_ms,
                static_cast<long long>(result.delta.steps),
                result.naive.wall_ms / result.delta.wall_ms);
-  return result;
-}
-
-// The compiled-vs-interpreted dimension: the delta strategy at 1 thread
-// with ChaseOptions::compile_plans off (the retained interpreter) and on
-// (the plan/ dependency compiler). Enumeration order — and hence fresh
-// null identities — differs between the two executors, so
-// the cross-check is renaming-invariant: identical canonicalized
-// fingerprints and step counts.
-struct CompiledVsInterpretedResult {
-  std::string name;
-  int64_t input_facts = 0;
-  StrategyStats interpreted;
-  StrategyStats compiled;
-  // compiled facts/sec over interpreted facts/sec (> 1 = compiler wins).
-  double speedup = 0;
-};
-
-CompiledVsInterpretedResult RunCompiledVsInterpreted(
-    SymbolTable* symbols, const std::string& name, const Instance& start,
-    const std::vector<Tgd>& tgds, const std::vector<Egd>& egds) {
-  CompiledVsInterpretedResult result;
-  result.name = name;
-  result.input_facts = static_cast<int64_t>(start.fact_count());
-  result.interpreted =
-      RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1,
-             /*compile_plans=*/false);
-  result.compiled =
-      RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1,
-             /*compile_plans=*/true);
-  PDX_CHECK(result.compiled.canonical_fingerprint ==
-            result.interpreted.canonical_fingerprint)
-      << "compiled chase not isomorphic to interpreted chase on " << name;
-  PDX_CHECK(result.compiled.steps == result.interpreted.steps)
-      << "compiled chase changed the step count on " << name;
-  result.speedup = result.interpreted.facts_per_sec > 0
-                       ? result.compiled.facts_per_sec /
-                             result.interpreted.facts_per_sec
-                       : 0;
-  std::fprintf(stderr,
-               "%-24s interpreted %9.2f ms   compiled %9.2f ms   "
-               "facts/sec speedup %5.2fx\n",
-               name.c_str(), result.interpreted.wall_ms,
-               result.compiled.wall_ms, result.speedup);
-  return result;
-}
-
-// The bytecode-vs-tree dimension: the compiled delta strategy at 1 thread
-// under the recursive tree executor (PDX_FORCE_TREE_EXEC's baseline) and
-// the bytecode VM (the default). Both executors run the same compiled
-// plans and enumerate identical match sets per partition, so steps and
-// canonicalized fingerprints must agree exactly; only wall time may move.
-struct BytecodeVsTreeResult {
-  std::string name;
-  int64_t input_facts = 0;
-  StrategyStats tree;
-  StrategyStats bytecode;
-  // bytecode facts/sec over tree facts/sec (> 1 = the VM wins).
-  double speedup = 0;
-};
-
-BytecodeVsTreeResult RunBytecodeVsTree(SymbolTable* symbols,
-                                       const std::string& name,
-                                       const Instance& start,
-                                       const std::vector<Tgd>& tgds,
-                                       const std::vector<Egd>& egds) {
-  BytecodeVsTreeResult result;
-  result.name = name;
-  result.input_facts = static_cast<int64_t>(start.fact_count());
-  const bool saved_force = ForceTreeExec();
-  SetForceTreeExec(true);
-  result.tree = RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-                       /*num_threads=*/1,
-                       /*compile_plans=*/true);
-  SetForceTreeExec(false);
-  result.bytecode =
-      RunOne(symbols, start, tgds, egds, ChaseStrategy::kRestricted,
-             /*num_threads=*/1,
-             /*compile_plans=*/true);
-  SetForceTreeExec(saved_force);
-  PDX_CHECK(result.bytecode.canonical_fingerprint ==
-            result.tree.canonical_fingerprint)
-      << "bytecode chase not isomorphic to tree chase on " << name;
-  PDX_CHECK(result.bytecode.steps == result.tree.steps)
-      << "bytecode chase changed the step count on " << name;
-  result.speedup =
-      result.tree.facts_per_sec > 0
-          ? result.bytecode.facts_per_sec / result.tree.facts_per_sec
-          : 0;
-  std::fprintf(stderr,
-               "%-24s tree %9.2f ms   bytecode %9.2f ms   "
-               "facts/sec speedup %5.2fx\n",
-               name.c_str(), result.tree.wall_ms, result.bytecode.wall_ms,
-               result.speedup);
   return result;
 }
 
@@ -362,8 +250,6 @@ void WriteStrategy(JsonWriter& w, const char* key,
 }
 
 std::string ToJson(const std::vector<WorkloadResult>& results,
-                   const std::vector<CompiledVsInterpretedResult>& compiled,
-                   const std::vector<BytecodeVsTreeResult>& bytecode,
                    const std::vector<ThreadScalingResult>& scaling) {
   JsonWriter w;
   w.BeginObject();
@@ -381,28 +267,6 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
     WriteStrategy(w, "naive", r.naive);
     WriteStrategy(w, "delta", r.delta);
     w.Key("speedup").Double(r.naive.wall_ms / r.delta.wall_ms, 2);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("compiled_vs_interpreted").BeginArray();
-  for (const CompiledVsInterpretedResult& r : compiled) {
-    w.BeginObject();
-    w.Key("name").String(r.name);
-    w.Key("input_facts").Int(r.input_facts);
-    WriteStrategy(w, "interpreted", r.interpreted);
-    WriteStrategy(w, "compiled", r.compiled);
-    w.Key("speedup").Double(r.speedup, 2);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("bytecode_vs_tree").BeginArray();
-  for (const BytecodeVsTreeResult& r : bytecode) {
-    w.BeginObject();
-    w.Key("name").String(r.name);
-    w.Key("input_facts").Int(r.input_facts);
-    WriteStrategy(w, "tree", r.tree);
-    WriteStrategy(w, "bytecode", r.bytecode);
-    w.Key("speedup").Double(r.speedup, 2);
     w.EndObject();
   }
   w.EndArray();
@@ -429,35 +293,32 @@ std::string ToJson(const std::vector<WorkloadResult>& results,
 }
 
 // Conservative facts/sec floor for the --quick perf smoke gate on
-// pipeline_n512 under the bytecode VM. The reference single-core box
+// pipeline_n512 under the delta chase. The reference single-core box
 // measures ~3.0M facts/sec here, dipping to ~1.0M under heavy scheduler
 // contention; the floor sits far below both so noise or a debug-ish
-// build never trips it, while a real hot-path regression (e.g. the VM
-// silently falling back to the tree executor, or a quadratic index)
-// still does.
+// build never trips it, while a real hot-path regression (e.g. a
+// quadratic index) still does.
 constexpr double kQuickFactsPerSecFloor = 500'000.0;
 
 int Main(int argc, char** argv) {
   BenchContext ctx;
-  // Perf smoke gate (tools/check.sh): pipeline_n512 under the tree
-  // executor and the bytecode VM, step- and fingerprint-cross-checked by
-  // RunBytecodeVsTree, then gated on an absolute throughput floor.
+  // Perf smoke gate (tools/check.sh): pipeline_n512 under the delta chase,
+  // fingerprint-cross-checked by RunWorkload against one naive run (the
+  // oracle, ~1 s here), then gated on an absolute throughput floor.
   if (argc > 1 && std::strcmp(argv[1], "--quick") == 0) {
     Instance start = ctx.RandomEdges(512, 2, 17);
-    BytecodeVsTreeResult r = RunBytecodeVsTree(
-        &ctx.symbols, "pipeline_n512", start, ctx.pipeline_tgds, {});
-    if (r.bytecode.facts_per_sec < kQuickFactsPerSecFloor) {
+    WorkloadResult r = RunWorkload(ctx, "pipeline_n512", start,
+                                   ctx.pipeline_tgds, {},
+                                   /*naive_repeats=*/1);
+    if (r.delta.facts_per_sec < kQuickFactsPerSecFloor) {
       std::fprintf(stderr,
-                   "FAIL: bytecode VM throughput %.0f facts/sec below the "
+                   "FAIL: delta chase throughput %.0f facts/sec below the "
                    "smoke floor %.0f on pipeline_n512\n",
-                   r.bytecode.facts_per_sec, kQuickFactsPerSecFloor);
+                   r.delta.facts_per_sec, kQuickFactsPerSecFloor);
       return 1;
     }
-    std::fprintf(stderr,
-                 "quick gate OK: %.0f facts/sec (floor %.0f), bytecode vs "
-                 "tree speedup %.2fx\n",
-                 r.bytecode.facts_per_sec, kQuickFactsPerSecFloor,
-                 r.speedup);
+    std::fprintf(stderr, "quick gate OK: %.0f facts/sec (floor %.0f)\n",
+                 r.delta.facts_per_sec, kQuickFactsPerSecFloor);
     return 0;
   }
   std::vector<WorkloadResult> results;
@@ -481,47 +342,6 @@ int Main(int argc, char** argv) {
     results.push_back(RunWorkload(ctx, "egd_heavy_n" + std::to_string(n),
                                   start, ctx.egd_heavy_tgds,
                                   ctx.egd_heavy_egds));
-  }
-  // Compiled-vs-interpreted at 1 thread on each workload family's largest
-  // size; pipeline_n512 is the headline point for the dependency compiler.
-  std::vector<CompiledVsInterpretedResult> compiled;
-  {
-    Instance start = ctx.RandomEdges(512, 2, 17);
-    compiled.push_back(RunCompiledVsInterpreted(
-        &ctx.symbols, "pipeline_n512", start, ctx.pipeline_tgds, {}));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 2, 23);
-    compiled.push_back(RunCompiledVsInterpreted(
-        &ctx.symbols, "existential_egd_n256", start, ctx.existential_tgds,
-        ctx.key_egds));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 4, 29);
-    compiled.push_back(RunCompiledVsInterpreted(
-        &ctx.symbols, "egd_heavy_n256", start, ctx.egd_heavy_tgds,
-        ctx.egd_heavy_egds));
-  }
-  // Bytecode-vs-tree at 1 thread on the same three points as
-  // compiled_vs_interpreted; pipeline_n512 is the headline number for the
-  // match VM (and what --quick gates on).
-  std::vector<BytecodeVsTreeResult> bytecode;
-  {
-    Instance start = ctx.RandomEdges(512, 2, 17);
-    bytecode.push_back(RunBytecodeVsTree(&ctx.symbols, "pipeline_n512",
-                                         start, ctx.pipeline_tgds, {}));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 2, 23);
-    bytecode.push_back(RunBytecodeVsTree(&ctx.symbols, "existential_egd_n256",
-                                         start, ctx.existential_tgds,
-                                         ctx.key_egds));
-  }
-  {
-    Instance start = ctx.RandomEdges(256, 4, 29);
-    bytecode.push_back(RunBytecodeVsTree(&ctx.symbols, "egd_heavy_n256",
-                                         start, ctx.egd_heavy_tgds,
-                                         ctx.egd_heavy_egds));
   }
   // Thread scaling on the two headline workloads, plus a wide
   // disjoint-dependency workload where consecutive tgds touch disjoint
@@ -574,7 +394,7 @@ int Main(int argc, char** argv) {
   }
 
   std::string path = argc > 1 ? argv[1] : "BENCH_chase.json";
-  std::string json = ToJson(results, compiled, bytecode, scaling);
+  std::string json = ToJson(results, scaling);
   std::FILE* f = std::fopen(path.c_str(), "w");
   PDX_CHECK(f != nullptr) << "cannot open " << path;
   std::fwrite(json.data(), 1, json.size(), f);

@@ -1,6 +1,7 @@
 #include "base/string_util.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace pdx {
 
@@ -35,6 +36,19 @@ std::string_view StripWhitespace(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+StatusOr<int64_t> ParseInt64InRange(std::string_view text, int64_t min,
+                                    int64_t max) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
+      value > max) {
+    return InvalidArgumentError(StrCat("'", text, "' is not an integer in [",
+                                       min, ", ", max, "]"));
+  }
+  return value;
 }
 
 }  // namespace pdx

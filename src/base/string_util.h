@@ -1,10 +1,13 @@
 #ifndef PDX_BASE_STRING_UTIL_H_
 #define PDX_BASE_STRING_UTIL_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "base/status.h"
 
 namespace pdx {
 
@@ -53,6 +56,14 @@ std::string_view StripWhitespace(std::string_view text);
 
 // True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+// Parses the whole of `text` as a base-10 integer in [min, max]. An empty
+// string, any character outside the number (whitespace included) and an
+// out-of-range value are InvalidArgument errors naming the text and the
+// range. Command-line front ends use it so that a malformed count can
+// neither turn into 0 nor ask for an unbounded number of threads.
+StatusOr<int64_t> ParseInt64InRange(std::string_view text, int64_t min,
+                                    int64_t max);
 
 }  // namespace pdx
 

@@ -12,7 +12,6 @@
 #include "hom/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/compiler.h"
 #include "plan/ir.h"
 #include "plan/plan_cache.h"
 
@@ -103,8 +102,8 @@ bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
   return false;
 }
 
-// Collects, in the deterministic order of EnumerateMatchesDelta, the body
-// matches for which `keep` returns true. With a pool, the delta partitions
+// Collects, in the deterministic order of EnumerateMatchesDeltaPlanned,
+// the body matches for which `keep` returns true. With a pool, the delta partitions
 // are fanned across its workers — `keep` then runs concurrently against
 // the shared immutable instance and must be a pure read (HasMatch and
 // fingerprinting qualify) — and the per-partition buffers are concatenated
@@ -119,7 +118,7 @@ bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
 // loop and read only [0, returned).
 size_t CollectDeltaMatches(
     const std::vector<Atom>& atoms, int var_count, const Instance& instance,
-    const DeltaView& delta, ThreadPool* pool, const plan::BodyPlan* body_plan,
+    const DeltaView& delta, ThreadPool* pool, const plan::BodyPlan& body_plan,
     const std::function<bool(const Binding&)>& keep,
     std::vector<Binding>* out, uint64_t parent_span = 0) {
   size_t used = 0;
@@ -136,13 +135,8 @@ size_t CollectDeltaMatches(
       if (keep(m)) emit(m);
       return true;
     };
-    if (body_plan != nullptr) {
-      EnumerateMatchesDeltaPlanned(*body_plan, instance, delta,
-                                   Binding::Empty(var_count), collect);
-    } else {
-      EnumerateMatchesDelta(atoms, var_count, instance, delta,
-                            Binding::Empty(var_count), collect);
-    }
+    EnumerateMatchesDeltaPlanned(body_plan, instance, delta,
+                                 Binding::Empty(var_count), collect);
     return used;
   }
   // A few partitions per participant so uneven pivot widths still balance
@@ -162,16 +156,9 @@ size_t CollectDeltaMatches(
       if (keep(m)) buffers[p].push_back(m);
       return true;
     };
-    if (body_plan != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(*body_plan, instance, delta,
-                                            parts[p],
-                                            Binding::Empty(var_count),
-                                            collect);
-    } else {
-      EnumerateMatchesDeltaPartition(atoms, var_count, instance, delta,
-                                     parts[p], Binding::Empty(var_count),
-                                     collect);
-    }
+    EnumerateMatchesDeltaPartitionPlanned(body_plan, instance, delta,
+                                          parts[p], Binding::Empty(var_count),
+                                          collect);
     part_span.AttrInt("collected",
                       static_cast<int64_t>(buffers[p].size()));
   });
@@ -181,13 +168,11 @@ size_t CollectDeltaMatches(
   return used;
 }
 
-// Applies one tgd chase step for the trigger `binding`: extends the
-// binding with fresh nulls for existential variables and inserts the head
-// image. Returns the number of fresh nulls created. With a journal, the
-// extended row is recorded under `dep` for deletion propagation.
+// Applies one tgd chase step for the trigger `binding` (naive engine):
+// extends the binding with fresh nulls for existential variables and
+// inserts the head image. Returns the number of fresh nulls created.
 int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
-                 SymbolTable* symbols, size_t dep = 0,
-                 ChaseJournal* journal = nullptr) {
+                 SymbolTable* symbols) {
   Binding extended = binding;
   int fresh = 0;
   for (VariableId v = 0; v < tgd.var_count; ++v) {
@@ -195,10 +180,6 @@ int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
       extended.Bind(v, symbols->FreshNull());
       ++fresh;
     }
-  }
-  if (journal != nullptr) {
-    journal->RecordTgd(dep, extended.values.data(), extended.values.size(),
-                       tgd.existential);
   }
   for (const Atom& atom : tgd.head) {
     Tuple tuple;
@@ -216,17 +197,17 @@ int ApplyTgdStep(const Tgd& tgd, const Binding& binding, Instance* instance,
   return fresh;
 }
 
-// ApplyTgdStep through the fused apply template: fresh nulls drawn in the
-// template's existential order (ascending variable ids — the same order
-// the interpreted loop visits them), head rows built slot by slot. `tgd`
-// is only consulted when journaling (the existential fingerprint mask).
+// Applies one tgd chase step through the fused apply template: fresh nulls
+// drawn in the template's existential order (ascending variable ids), head
+// rows built slot by slot. With a journal, the extended row is recorded
+// under `dep` for deletion propagation; `tgd` is only consulted then (the
+// existential fingerprint mask).
 int ApplyTgdStepPlanned(const plan::ApplyTemplate& apply,
                         const Binding& binding, Instance* instance,
                         SymbolTable* symbols, const Tgd* tgd = nullptr,
                         size_t dep = 0, ChaseJournal* journal = nullptr) {
   // Zero-allocation apply: fresh nulls land in a stack array parallel to
-  // apply.existentials (ascending variable order, same as the interpreted
-  // loop) and each head row is staged in a stack buffer for the span
+  // apply.existentials (ascending variable order) and each head row is staged in a stack buffer for the span
   // AddFact. Exotic shapes fall back to the Binding-extension path.
   constexpr size_t kStack = 16;
   const size_t n_exist = apply.existentials.size();
@@ -294,17 +275,6 @@ int ApplyTgdStepPlanned(const plan::ApplyTemplate& apply,
   return apply.fresh_per_trigger;
 }
 
-// The restricted engine's head-satisfaction probe, planned when a compiled
-// tgd plan is available (the plan's head program was compiled with the
-// universal variables pre-bound).
-bool HeadSatisfied(const Tgd& tgd, const plan::TgdPlan* plan,
-                   const Instance& instance, const Binding& body_match) {
-  if (plan != nullptr) {
-    return HasMatchPlanned(plan->head, instance, body_match);
-  }
-  return HasMatch(tgd.head, tgd.var_count, instance, body_match);
-}
-
 // TriggerFingerprint and TriggerLedger moved to chase/trigger_ledger.h:
 // the deletion-propagation journal (chase/journal.h) shares the ledger's
 // exactly-once/retire discipline, so the class is now a public header.
@@ -358,64 +328,6 @@ struct SpecBuffer {
   size_t count = 0;
 };
 
-// Per-dependency constants of the speculative layout. Parser validation
-// guarantees existential variables never occur in the body, so every
-// complete body match binds exactly the non-existential variables: the
-// bound mask is the same for all of a dependency's triggers and the
-// number of fresh nulls per trigger is a constant. The apply phase
-// reuses one scratch Binding (mask preset to the body mask) and only
-// refreshes its values from the flat rows; the existential slots stay
-// masked off, which is what the restricted HasMatch re-check and the
-// oblivious root index both require.
-struct SpecLayout {
-  size_t head_width = 0;      // sum of head-atom arities
-  int fresh_per_trigger = 0;  // existential variables per trigger
-  std::vector<VariableId> existentials;
-  // Positions within a trigger's flat head row holding an existential
-  // variable, with the variable: the slots the apply phase patches with
-  // the trigger's fresh nulls.
-  std::vector<std::pair<size_t, VariableId>> head_null_slots;
-  Binding scratch;
-};
-
-SpecLayout MakeSpecLayout(const Tgd& tgd) {
-  SpecLayout out;
-  size_t pos = 0;
-  for (const Atom& atom : tgd.head) {
-    for (const Term& t : atom.terms) {
-      if (!t.is_constant() && tgd.existential[t.var()]) {
-        out.head_null_slots.emplace_back(pos, t.var());
-      }
-      ++pos;
-    }
-  }
-  out.head_width = pos;
-  out.scratch = Binding::Empty(tgd.var_count);
-  for (VariableId v = 0; v < tgd.var_count; ++v) {
-    if (tgd.existential[v]) {
-      out.existentials.push_back(v);
-    } else {
-      out.scratch.bound[v] = true;
-    }
-  }
-  out.fresh_per_trigger = static_cast<int>(out.existentials.size());
-  return out;
-}
-
-// The compiled path's layout: every field except the scratch Binding is
-// already fused into the plan's ApplyTemplate (the template absorbed what
-// MakeSpecLayout re-derives from the AST).
-SpecLayout LayoutFromTemplate(const plan::ApplyTemplate& apply) {
-  SpecLayout out;
-  out.head_width = apply.head_width;
-  out.fresh_per_trigger = apply.fresh_per_trigger;
-  out.existentials = apply.existentials;
-  out.head_null_slots = apply.head_null_slots;
-  out.scratch = Binding::Empty(static_cast<int>(apply.body_bound.size()));
-  out.scratch.bound = apply.body_bound;
-  return out;
-}
-
 // Pooled collection of one dependency's pending triggers: the delta
 // partitions fan across the pool and each partition task instantiates the
 // heads of the matches it keeps. With a null ledger the filter is the
@@ -430,13 +342,12 @@ SpecLayout LayoutFromTemplate(const plan::ApplyTemplate& apply) {
 // run's.
 class SpecCollectJob {
  public:
-  SpecCollectJob(const Tgd* tgd, size_t dep_index, const SpecLayout* layout,
-                 const plan::TgdPlan* plan, const Instance* instance,
+  SpecCollectJob(const Tgd* tgd, size_t dep_index, const plan::TgdPlan* plan,
+                 const Instance* instance,
                  const DeltaView* delta, const TriggerLedger* ledger,
                  ThreadPool* pool, uint64_t parent_span, bool pipelined)
       : tgd_(tgd),
         dep_(dep_index),
-        layout_(layout),
         plan_(plan),
         instance_(instance),
         delta_(delta),
@@ -473,49 +384,34 @@ class SpecCollectJob {
         .AttrBool("pipelined", pipelined_);
     ChaseMetrics& metrics = ChaseMetrics::Get();
     SpecBuffer& buffer = buffers_[p];
-    const SpecLayout& layout = *layout_;
     const auto admit = [&](const Binding& m) {
       metrics.tgd_matches.Inc();
       if (ledger_ != nullptr) {
         uint64_t fp = TriggerFingerprint(dep_, *tgd_, m);
         if (ledger_->Contains(fp)) return true;
         buffer.fps.push_back(fp);
-      } else if (HeadSatisfied(*tgd_, plan_, *instance_, m)) {
+      } else if (HasMatchPlanned(plan_->head, *instance_, m)) {
         return true;
       }
       const size_t row = buffer.rows.size();
       buffer.rows.insert(buffer.rows.end(), m.values.begin(),
                          m.values.end());
-      for (VariableId v : layout.existentials) PDX_DCHECK(!m.bound[v]);
+      for (VariableId v : plan_->apply.existentials) {
+        PDX_DCHECK(!m.bound[v]);
+      }
       // Existential row/head slots hold junk until the apply phase fills
       // them with the trigger's fresh nulls.
-      if (plan_ != nullptr) {
-        for (const plan::HeadSlot& slot : plan_->apply.slots) {
-          buffer.heads.push_back(slot.is_const ? slot.key
-                                               : buffer.rows[row + slot.var]);
-        }
-      } else {
-        for (const Atom& atom : tgd_->head) {
-          for (const Term& t : atom.terms) {
-            buffer.heads.push_back(t.is_constant()
-                                       ? t.constant()
-                                       : buffer.rows[row + t.var()]);
-          }
-        }
+      for (const plan::HeadSlot& slot : plan_->apply.slots) {
+        buffer.heads.push_back(slot.is_const ? slot.key
+                                             : buffer.rows[row + slot.var]);
       }
       ++buffer.count;
       return true;
     };
-    if (plan_ != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(plan_->body, *instance_, *delta_,
-                                            parts_[p],
-                                            Binding::Empty(tgd_->var_count),
-                                            admit);
-    } else {
-      EnumerateMatchesDeltaPartition(tgd_->body, tgd_->var_count, *instance_,
-                                     *delta_, parts_[p],
-                                     Binding::Empty(tgd_->var_count), admit);
-    }
+    EnumerateMatchesDeltaPartitionPlanned(plan_->body, *instance_, *delta_,
+                                          parts_[p],
+                                          Binding::Empty(tgd_->var_count),
+                                          admit);
     metrics.spec_triggers.Inc(static_cast<int64_t>(buffer.count));
     part_span.AttrInt("collected", static_cast<int64_t>(buffer.count));
   }
@@ -523,8 +419,7 @@ class SpecCollectJob {
  private:
   const Tgd* tgd_;
   size_t dep_;
-  const SpecLayout* layout_;
-  const plan::TgdPlan* plan_;  // nullptr => interpret
+  const plan::TgdPlan* plan_;
   const Instance* instance_;
   const DeltaView* delta_;
   const TriggerLedger* ledger_;  // nullptr => restricted HasMatch filter
@@ -559,8 +454,7 @@ class SpecCollectJob {
 // the sequential loop — and inserts the pre-built head rows. Returns false
 // when the step budget was exhausted (`result` is finalized).
 bool RunTgdPhasePooled(const std::vector<Tgd>& tgds,
-                       const std::vector<TgdFootprint>& footprints,
-                       const plan::CompiledSetting* compiled,
+                       const plan::CompiledSetting& compiled,
                        Instance* instance, const DeltaView& delta,
                        SymbolTable* symbols, TriggerLedger* ledger,
                        ThreadPool* pool, const ChaseOptions& options,
@@ -570,16 +464,7 @@ bool RunTgdPhasePooled(const std::vector<Tgd>& tgds,
   for (size_t d = 0; d < tgds.size(); ++d) {
     if (TouchesDelta(tgds[d].body, delta)) active.push_back(d);
   }
-  const auto plan_for = [&](size_t d) -> const plan::TgdPlan* {
-    return compiled != nullptr ? &compiled->tgds[d] : nullptr;
-  };
-  std::vector<SpecLayout> layouts;
-  layouts.reserve(active.size());
-  for (size_t d : active) {
-    layouts.push_back(compiled != nullptr
-                          ? LayoutFromTemplate(compiled->tgds[d].apply)
-                          : MakeSpecLayout(tgds[d]));
-  }
+  const std::vector<TgdFootprint>& footprints = compiled.footprints;
   // The jobs own the flat trigger buffers the apply scans read; each is
   // released once its dependency has applied.
   std::vector<std::unique_ptr<SpecCollectJob>> jobs(active.size());
@@ -589,9 +474,9 @@ bool RunTgdPhasePooled(const std::vector<Tgd>& tgds,
   std::vector<size_t> inflight;
   const auto make_job = [&](size_t i, bool pipelined, uint64_t parent) {
     const size_t d = active[i];
-    return std::make_unique<SpecCollectJob>(&tgds[d], d, &layouts[i],
-                                            plan_for(d), instance, &delta,
-                                            ledger, pool, parent, pipelined);
+    return std::make_unique<SpecCollectJob>(&tgds[d], d, &compiled.tgds[d],
+                                            instance, &delta, ledger, pool,
+                                            parent, pipelined);
   };
   const auto join_batch = [&] {
     if (inflight.empty()) return;
@@ -635,7 +520,8 @@ bool RunTgdPhasePooled(const std::vector<Tgd>& tgds,
   for (size_t i = 0; i < active.size() && !exhausted; ++i) {
     const size_t d = active[i];
     const Tgd& tgd = tgds[d];
-    const SpecLayout& layout = layouts[i];
+    const plan::TgdPlan& plan = compiled.tgds[d];
+    const plan::ApplyTemplate& apply = plan.apply;
     obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
     tgd_span.AttrInt("dep", static_cast<int64_t>(d));
     const bool was_inflight =
@@ -657,33 +543,39 @@ bool RunTgdPhasePooled(const std::vector<Tgd>& tgds,
     // Launch the lookahead before applying so collections of every ready
     // dependency overlap this apply phase.
     start_lookahead(i, tgd_span.id());
-    Binding scratch = layout.scratch;
-    std::vector<Value> head_row(layout.head_width);
+    // Parser validation guarantees existential variables never occur in
+    // the body, so every trigger binds exactly apply.body_bound: one
+    // scratch Binding with that mask serves the whole scan, and only its
+    // values are refreshed from the flat rows. The existential slots stay
+    // masked off, as the restricted re-check and the ledger require.
+    Binding scratch = Binding::Empty(tgd.var_count);
+    scratch.bound = apply.body_bound;
+    std::vector<Value> head_row(apply.head_width);
     const size_t var_count = static_cast<size_t>(tgd.var_count);
     int64_t applied = 0;
     for (const SpecBuffer& buffer : pending) {
       const Value* row = buffer.rows.data();
       const Value* head = buffer.heads.data();
       for (size_t t = 0; t < buffer.count;
-           ++t, row += var_count, head += layout.head_width) {
+           ++t, row += var_count, head += apply.head_width) {
         std::copy(row, row + var_count, scratch.values.begin());
         if (ledger == nullptr) {
           // Re-check: an earlier application may have satisfied it.
-          if (HeadSatisfied(tgd, plan_for(d), *instance, scratch)) continue;
+          if (HasMatchPlanned(plan.head, *instance, scratch)) continue;
         } else if (!ledger->Insert(buffer.fps[t], tgd, scratch)) {
           continue;  // a duplicate match of an earlier trigger
         }
         // The existential slots stay masked off in `scratch`, so only
         // their values change.
-        for (VariableId v : layout.existentials) {
+        for (VariableId v : apply.existentials) {
           scratch.values[v] = symbols->FreshNull();
         }
         if (journal != nullptr) {
           journal->RecordTgd(d, scratch.values.data(), var_count,
                              tgd.existential);
         }
-        std::copy(head, head + layout.head_width, head_row.begin());
-        for (const auto& [pos, v] : layout.head_null_slots) {
+        std::copy(head, head + apply.head_width, head_row.begin());
+        for (const auto& [pos, v] : apply.head_null_slots) {
           head_row[pos] = scratch.values[v];
         }
         const Value* cursor = head_row.data();
@@ -691,7 +583,7 @@ bool RunTgdPhasePooled(const std::vector<Tgd>& tgds,
           instance->AddFact(atom.relation, cursor, atom.terms.size());
           cursor += atom.terms.size();
         }
-        result->nulls_created += layout.fresh_per_trigger;
+        result->nulls_created += apply.fresh_per_trigger;
         ++result->steps;
         ++applied;
         if (result->steps >= options.max_steps) {
@@ -822,7 +714,7 @@ bool AbsorbEgdOutcome(const EgdFixpointOutcome& egd_out, ChaseResult* result) {
 // The delta-driven restricted chase: the fixpoint loop works off a
 // watermark into the instance; each round evaluates only triggers whose
 // body touches a fact beyond the watermark (semi-naive evaluation via
-// EnumerateMatchesDelta) or a tuple dirtied by an egd merge, then advances
+// EnumerateMatchesDeltaPlanned) or a tuple dirtied by an egd merge, then advances
 // the watermark to the round's frontier. Egd steps are union-find merges
 // in the instance's value layer: O(α) unions that never rewrite tuples,
 // so watermarks stay valid and only the dirty equivalence classes are
@@ -838,19 +730,9 @@ ChaseResult ChaseRestrictedDelta(Instance start,
                                  SymbolTable* symbols,
                                  const ChaseOptions& options,
                                  ThreadPool* pool,
-                                 const plan::CompiledSetting* compiled) {
+                                 const plan::CompiledSetting& compiled) {
   ChaseResult result(std::move(start));
   Instance& instance = result.instance;
-  const std::vector<plan::EgdPlan>* egd_plans =
-      compiled != nullptr ? &compiled->egds : nullptr;
-  // The pooled phase needs the footprint DAG: compiled settings carry it,
-  // the interpreter derives it here, once per run.
-  std::vector<TgdFootprint> local_footprints;
-  if (pool != nullptr && compiled == nullptr) {
-    local_footprints = plan::ComputeTgdFootprints(tgds);
-  }
-  const std::vector<TgdFootprint>& footprints =
-      compiled != nullptr ? compiled->footprints : local_footprints;
   // Everything is "new" before the first round, so round one degenerates
   // to the full scan the naive chase would do — exactly once. An
   // incremental caller (ChaseOptions::resume_from) instead seeds the
@@ -886,7 +768,7 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     ++round;
     EgdFixpointOutcome egd_out = RunEgdsToFixpointDelta(
         egds, &instance, mark, options.max_steps - result.steps, symbols,
-        &extras, pool, egd_plans, options.journal);
+        &extras, compiled.egds, pool, options.journal);
     if (!AbsorbEgdOutcome(egd_out, &result)) return result;
     dirty_accum += egd_out.dirtied;
     DeltaView delta(instance, mark, extras);
@@ -900,17 +782,16 @@ ChaseResult ChaseRestrictedDelta(Instance start,
     // evaluated; facts the round itself adds become the next delta.
     InstanceWatermark frontier = instance.TakeWatermark();
     if (pool != nullptr) {
-      if (!RunTgdPhasePooled(tgds, footprints, compiled, &instance, delta,
-                             symbols, /*ledger=*/nullptr, pool, options,
-                             &result, options.journal)) {
+      if (!RunTgdPhasePooled(tgds, compiled, &instance, delta, symbols,
+                             /*ledger=*/nullptr, pool, options, &result,
+                             options.journal)) {
         return result;
       }
     } else {
       for (size_t d = 0; d < tgds.size(); ++d) {
         const Tgd& tgd = tgds[d];
         if (!TouchesDelta(tgd.body, delta)) continue;
-        const plan::TgdPlan* plan =
-            compiled != nullptr ? &compiled->tgds[d] : nullptr;
+        const plan::TgdPlan& plan = compiled.tgds[d];
         obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
         tgd_span.AttrInt("dep", static_cast<int64_t>(d));
         // Collect the violated triggers for this delta, then apply them.
@@ -921,10 +802,10 @@ ChaseResult ChaseRestrictedDelta(Instance start,
         int64_t n_matches = 0;
         const size_t n_pending = CollectDeltaMatches(
             tgd.body, tgd.var_count, instance, delta, /*pool=*/nullptr,
-            plan != nullptr ? &plan->body : nullptr,
+            plan.body,
             [&](const Binding& body_match) {
               ++n_matches;
-              return !HeadSatisfied(tgd, plan, instance, body_match);
+              return !HasMatchPlanned(plan.head, instance, body_match);
             },
             &pending);
         metrics.tgd_matches.Inc(n_matches);
@@ -933,15 +814,10 @@ ChaseResult ChaseRestrictedDelta(Instance start,
         for (size_t t = 0; t < n_pending; ++t) {
           const Binding& trigger = pending[t];
           // Re-check: an earlier application may have satisfied it.
-          if (HeadSatisfied(tgd, plan, instance, trigger)) {
-            continue;
-          }
+          if (HasMatchPlanned(plan.head, instance, trigger)) continue;
           result.nulls_created +=
-              plan != nullptr
-                  ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
-                                        symbols, &tgd, d, options.journal)
-                  : ApplyTgdStep(tgd, trigger, &instance, symbols, d,
-                                 options.journal);
+              ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols,
+                                  &tgd, d, options.journal);
           ++result.steps;
           ++applied;
           if (result.steps >= options.max_steps) {
@@ -996,18 +872,10 @@ ChaseResult ChaseOblivious(Instance start,
                            const std::vector<Egd>& egds,
                            SymbolTable* symbols, const ChaseOptions& options,
                            ThreadPool* pool,
-                           const plan::CompiledSetting* compiled) {
+                           const plan::CompiledSetting& compiled) {
   ChaseResult result(std::move(start));
   Instance& instance = result.instance;
   TriggerLedger fired;
-  const std::vector<plan::EgdPlan>* egd_plans =
-      compiled != nullptr ? &compiled->egds : nullptr;
-  std::vector<TgdFootprint> local_footprints;
-  if (pool != nullptr && compiled == nullptr) {
-    local_footprints = plan::ComputeTgdFootprints(tgds);
-  }
-  const std::vector<TgdFootprint>& footprints =
-      compiled != nullptr ? compiled->footprints : local_footprints;
   InstanceWatermark mark = InstanceWatermark::Origin(instance);
   std::vector<std::vector<int>> extras;
   ChaseMetrics& metrics = ChaseMetrics::Get();
@@ -1028,7 +896,7 @@ ChaseResult ChaseOblivious(Instance start,
     ++round;
     EgdFixpointOutcome egd_out = RunEgdsToFixpointDelta(
         egds, &instance, mark, options.max_steps - result.steps, symbols,
-        &extras, pool, egd_plans);
+        &extras, compiled.egds, pool);
     if (!AbsorbEgdOutcome(egd_out, &result)) return result;
     // Merged-away roots can never appear in a binding again: drop their
     // fingerprint generation.
@@ -1043,16 +911,15 @@ ChaseResult ChaseOblivious(Instance start,
       // Admission happens in the workers (TriggerLedger::Admit through the
       // concurrent fingerprint set); the apply loop only records roots and
       // inserts the pre-instantiated heads.
-      if (!RunTgdPhasePooled(tgds, footprints, compiled, &instance, delta,
-                             symbols, &fired, pool, options, &result)) {
+      if (!RunTgdPhasePooled(tgds, compiled, &instance, delta, symbols,
+                             &fired, pool, options, &result)) {
         return result;
       }
     } else {
       for (size_t d = 0; d < tgds.size(); ++d) {
         const Tgd& tgd = tgds[d];
         if (!TouchesDelta(tgd.body, delta)) continue;
-        const plan::TgdPlan* plan =
-            compiled != nullptr ? &compiled->tgds[d] : nullptr;
+        const plan::TgdPlan& plan = compiled.tgds[d];
         obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
         tgd_span.AttrInt("dep", static_cast<int64_t>(d));
         // Collect unfired triggers first (the instance must not change
@@ -1064,7 +931,7 @@ ChaseResult ChaseOblivious(Instance start,
         int64_t n_matches = 0;
         const size_t n_pending = CollectDeltaMatches(
             tgd.body, tgd.var_count, instance, delta, /*pool=*/nullptr,
-            plan != nullptr ? &plan->body : nullptr,
+            plan.body,
             [&](const Binding& body_match) {
               ++n_matches;
               return !fired.Contains(TriggerFingerprint(d, tgd, body_match));
@@ -1079,10 +946,7 @@ ChaseResult ChaseOblivious(Instance start,
             continue;
           }
           result.nulls_created +=
-              plan != nullptr
-                  ? ApplyTgdStepPlanned(plan->apply, trigger, &instance,
-                                        symbols)
-                  : ApplyTgdStep(tgd, trigger, &instance, symbols);
+              ApplyTgdStepPlanned(plan.apply, trigger, &instance, symbols);
           ++result.steps;
           if (result.steps >= options.max_steps) {
             result.outcome = ChaseOutcome::kBudgetExhausted;
@@ -1102,11 +966,11 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
     const std::vector<Egd>& egds, Instance* instance,
     const InstanceWatermark& mark, int64_t max_steps,
     const SymbolTable* symbols, std::vector<std::vector<int>>* extras,
-    ThreadPool* pool, const std::vector<plan::EgdPlan>* egd_plans,
+    const std::vector<plan::EgdPlan>& egd_plans, ThreadPool* pool,
     ChaseJournal* journal) {
   EgdFixpointOutcome out;
   if (egds.empty()) return out;
-  PDX_DCHECK(egd_plans == nullptr || egd_plans->size() == egds.size());
+  PDX_DCHECK(egd_plans.size() == egds.size());
   obs::Span fixpoint_span(obs::Tracer::Global(), "chase.egd_fixpoint");
   obs::Counter& merge_counter = ChaseMetrics::Get().egd_merges;
   int64_t passes = 0;
@@ -1134,8 +998,6 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
     for (size_t e = 0; e < egds.size(); ++e) {
       const Egd& egd = egds[e];
       if (!TouchesDelta(egd.body, delta)) continue;
-      const plan::EgdPlan* plan =
-          egd_plans != nullptr ? &(*egd_plans)[e] : nullptr;
       // Batched collect-then-apply: one enumeration (fanned across the
       // pool's workers when there is one) gathers every trigger violated
       // under the resolution before this batch, then the merges run in
@@ -1147,7 +1009,7 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
       // order.
       const size_t n_violated = CollectDeltaMatches(
           egd.body, egd.var_count, *instance, delta, pool,
-          plan != nullptr ? &plan->body : nullptr,
+          egd_plans[e].body,
           [&](const Binding& m) {
             return m.values[egd.left_var] != m.values[egd.right_var];
           },
@@ -1221,51 +1083,28 @@ const char* StrategyName(ChaseStrategy strategy) {
   return nullptr;
 }
 
-// True when this run executes through compiled plans: opted in (the
-// default), not globally forced off, and not the naive baseline engine.
-bool UsesPlans(const ChaseOptions& options) {
-  return options.compile_plans &&
-         options.strategy != ChaseStrategy::kRestrictedNaive &&
-         !plan::ForceInterpreter();
-}
-
 ChaseResult ChaseDispatch(Instance start, const std::vector<Tgd>& tgds,
                           const std::vector<Egd>& egds, SymbolTable* symbols,
                           const ChaseOptions& options) {
+  // The naive oracle interprets the dependency ASTs directly and shares
+  // no plan, delta or watermark code with the engines it checks.
+  if (options.strategy == ChaseStrategy::kRestrictedNaive) {
+    return ChaseRestrictedNaive(std::move(start), tgds, egds, symbols,
+                                options);
+  }
   // One cache probe per run; re-chases of the same setting hit and reuse
   // the plans compiled on first sight.
-  std::shared_ptr<const plan::CompiledSetting> compiled;
-  if (UsesPlans(options)) {
-    compiled = plan::PlanCache::Global().GetOrCompile(tgds, egds);
+  const std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile(tgds, egds);
+  const int threads = ResolveThreadCount(options);
+  std::unique_ptr<ThreadPool> owned_pool =
+      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  if (options.strategy == ChaseStrategy::kOblivious) {
+    return ChaseOblivious(std::move(start), tgds, egds, symbols, options,
+                          owned_pool.get(), *compiled);
   }
-  switch (options.strategy) {
-    case ChaseStrategy::kOblivious: {
-      int threads = ResolveThreadCount(options);
-      if (threads > 1) {
-        ThreadPool pool(threads);
-        return ChaseOblivious(std::move(start), tgds, egds, symbols, options,
-                              &pool, compiled.get());
-      }
-      return ChaseOblivious(std::move(start), tgds, egds, symbols, options,
-                            nullptr, compiled.get());
-    }
-    case ChaseStrategy::kRestrictedNaive:
-      return ChaseRestrictedNaive(std::move(start), tgds, egds, symbols,
-                                  options);
-    case ChaseStrategy::kRestricted: {
-      int threads = ResolveThreadCount(options);
-      if (threads > 1) {
-        ThreadPool pool(threads);
-        return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols,
-                                    options, &pool, compiled.get());
-      }
-      return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols,
-                                  options, nullptr, compiled.get());
-    }
-  }
-  ChaseResult result(std::move(start));
-  result.outcome = ChaseOutcome::kBudgetExhausted;
-  return result;
+  return ChaseRestrictedDelta(std::move(start), tgds, egds, symbols, options,
+                              owned_pool.get(), *compiled);
 }
 
 ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
@@ -1275,7 +1114,6 @@ ChaseResult ChaseRun(Instance start, const std::vector<Tgd>& tgds,
   obs::Span run_span(obs::Tracer::Global(), "chase");
   run_span.AttrStr("strategy", StrategyName(options.strategy))
       .AttrInt("threads", ResolveThreadCount(options))
-      .AttrBool("compiled", UsesPlans(options))
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));
   ChaseResult result =

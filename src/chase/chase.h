@@ -29,15 +29,18 @@ enum class ChaseStrategy {
   // are union-find merges in the instance's value layer
   // (Instance::MergeValues): O(α) unions that mark only the dirty
   // equivalence classes, never rewriting tuples or invalidating
-  // watermarks. Changes performance only, never the chase result
-  // (cross-validated in chase_strategies_test and cross_validation_test,
-  // orders of magnitude faster at scale per bench_chase), so it is the
-  // default.
+  // watermarks. Trigger enumeration, head filters and the egd fixpoint
+  // run the setting's compiled plans (plan/ir.h, fetched once per run
+  // from the process-wide PlanCache) on the match VM. Changes performance
+  // only, never the chase result (checked against kRestrictedNaive in
+  // chase_strategies_test, cross_validation_test and fuzz_test; orders of
+  // magnitude faster at scale per bench_chase), so it is the default.
   kRestricted,
   // The restricted chase re-scanning the whole instance to find each
-  // trigger and applying egds via Substitute's eager relation rebuild.
-  // Kept as the cross-validation baseline and for A/B benches against the
-  // union-find value layer.
+  // trigger (the interpreting matcher, EnumerateMatches) and applying egds
+  // via Substitute's eager relation rebuild. The single reference oracle
+  // of the differential tests: it shares no plan, delta, watermark or
+  // union-find code with the engines it checks.
   kRestrictedNaive,
   // The oblivious chase, delta-driven: every body homomorphism fires
   // exactly once (tracked by a trigger-fingerprint set), whether or not a
@@ -57,9 +60,12 @@ struct ChaseOptions {
 
   ChaseStrategy strategy = ChaseStrategy::kRestricted;
 
-  // Worker threads for the delta engines (kRestricted/kOblivious):
-  // 0 = hardware concurrency, 1 = the fully sequential path. With more
-  // than one, each round's tgd phase runs on a pool: workers collect
+  // Worker threads for the delta engines (kRestricted/kOblivious). The
+  // default, 1, is the fully sequential path; 0 means hardware
+  // concurrency. The pool is opt-in because it has not paid at the sizes
+  // measured so far (4 cores): on an egd-heavy 3K-edge shape it is
+  // slower than one thread, and on a 1e5-edge join pipeline it gains
+  // ~1.2x at best. With more than one, each round's tgd phase runs on a pool: workers collect
   // triggers and pre-build their head rows, and collection of
   // footprint-compatible dependencies overlaps the current apply; egd
   // passes fan their trigger collection across the same pool. Every
@@ -69,19 +75,7 @@ struct ChaseOptions {
   // outcome, steps, nulls_created and instance, null ids included (see
   // DESIGN.md "Parallel execution model"). Either is deterministic from
   // run to run.
-  int num_threads = 0;
-
-  // Compile the setting into match/apply plans (plan/ir.h) and execute
-  // trigger enumeration, head filters and the egd fixpoint through them
-  // (kRestricted/kOblivious; kRestrictedNaive always interprets — it is
-  // the baseline). Plans are fetched from the process-wide PlanCache, so
-  // repeated chases of one setting compile it exactly once. The chase
-  // result's resolved view and canonical fingerprint are invariant;
-  // enumeration order (hence raw tuple order and fresh-null identities)
-  // may differ from the interpreter's. The PDX_FORCE_INTERPRETER
-  // environment variable overrides this to false process-wide
-  // (plan/compiler.h, ForceInterpreter).
-  bool compile_plans = true;
+  int num_threads = 1;
 
   // Incremental resume (kRestricted only): when non-null, the first
   // round's delta covers only the facts added to the start instance after
@@ -218,9 +212,9 @@ struct EgdPlan;
 // union order (hence null-root identity) depends on the enumeration
 // order, which every resolved view is invariant under.
 //
-// With non-null `egd_plans` (compiled plans indexed parallel to `egds`),
-// trigger enumeration executes through the dependency compiler's plans
-// instead of the interpreter; the fixpoint closure is unchanged.
+// `egd_plans` are the compiled plans indexed parallel to `egds` (the
+// CompiledSetting's `egds`); trigger enumeration runs through them on the
+// match VM.
 //
 // With a non-null `journal`, every successful merge is recorded under the
 // trigger binding that forced it (merges are applied on the calling
@@ -230,8 +224,7 @@ EgdFixpointOutcome RunEgdsToFixpointDelta(
     const std::vector<Egd>& egds, Instance* instance,
     const InstanceWatermark& mark, int64_t max_steps,
     const SymbolTable* symbols, std::vector<std::vector<int>>* extras,
-    ThreadPool* pool = nullptr,
-    const std::vector<plan::EgdPlan>* egd_plans = nullptr,
+    const std::vector<plan::EgdPlan>& egd_plans, ThreadPool* pool = nullptr,
     ChaseJournal* journal = nullptr);
 
 // True if `instance` satisfies the tgd / egd under standard first-order

@@ -7,7 +7,6 @@
 #include "hom/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/compiler.h"
 #include "plan/ir.h"
 #include "plan/plan_cache.h"
 
@@ -52,18 +51,13 @@ bool TouchesDelta(const std::vector<Atom>& body, const DeltaView& delta) {
 // The per-match collection step: skip satisfied triggers, extend violated
 // ones into `solution` (guaranteed possible since solution ⊇ instance
 // satisfies the tgd). Pure reads of `instance` and `solution`, so workers
-// may run it concurrently. With a non-null plan, the satisfaction probe
-// and the witness search both execute the compiled head program (compiled
-// with the universal variables pre-bound — exactly this call shape).
+// may run it concurrently. The satisfaction probe and the witness search
+// both execute the compiled head program (compiled with the universal
+// variables pre-bound — exactly this call shape).
 void CollectOneTrigger(const Instance& instance, const Instance& solution,
-                       const Tgd& tgd, const plan::TgdPlan* plan,
-                       const Binding& body_match,
+                       const plan::TgdPlan& plan, const Binding& body_match,
                        std::vector<SolutionAwareTrigger>* out) {
-  const bool satisfied =
-      plan != nullptr
-          ? HasMatchPlanned(plan->head, instance, body_match)
-          : HasMatch(tgd.head, tgd.var_count, instance, body_match);
-  if (satisfied) {
+  if (HasMatchPlanned(plan.head, instance, body_match)) {
     return;  // satisfied trigger
   }
   SaMetrics::Get().tgd_matches.Inc();
@@ -72,12 +66,7 @@ void CollectOneTrigger(const Instance& instance, const Instance& solution,
     out->push_back({body_match, full});
     return false;  // first witness suffices
   };
-  bool witnessed =
-      plan != nullptr
-          ? EnumerateMatchesPlanned(plan->head, solution, body_match, witness)
-          : EnumerateMatches(tgd.head, tgd.var_count, solution, body_match,
-                             witness);
-  PDX_CHECK(witnessed)
+  PDX_CHECK(EnumerateMatchesPlanned(plan.head, solution, body_match, witness))
       << "solution-aware chase: the provided solution violates a tgd";
 }
 
@@ -89,21 +78,16 @@ void CollectOneTrigger(const Instance& instance, const Instance& solution,
 void CollectSolutionAwareTriggers(const Instance& instance,
                                   const DeltaView& delta,
                                   const Instance& solution, const Tgd& tgd,
-                                  const plan::TgdPlan* plan, ThreadPool* pool,
+                                  const plan::TgdPlan& plan, ThreadPool* pool,
                                   std::vector<SolutionAwareTrigger>* out,
                                   uint64_t parent_span = 0) {
   if (pool == nullptr) {
     const auto collect = [&](const Binding& body_match) {
-      CollectOneTrigger(instance, solution, tgd, plan, body_match, out);
+      CollectOneTrigger(instance, solution, plan, body_match, out);
       return true;  // keep collecting
     };
-    if (plan != nullptr) {
-      EnumerateMatchesDeltaPlanned(plan->body, instance, delta,
-                                   Binding::Empty(tgd.var_count), collect);
-    } else {
-      EnumerateMatchesDelta(tgd.body, tgd.var_count, instance, delta,
-                            Binding::Empty(tgd.var_count), collect);
-    }
+    EnumerateMatchesDeltaPlanned(plan.body, instance, delta,
+                                 Binding::Empty(tgd.var_count), collect);
     return;
   }
   std::vector<DeltaPartition> parts = PartitionDeltaMatches(
@@ -115,20 +99,13 @@ void CollectSolutionAwareTriggers(const Instance& instance,
                         parent_span);
     part_span.AttrInt("partition", static_cast<int64_t>(p));
     const auto collect = [&](const Binding& body_match) {
-      CollectOneTrigger(instance, solution, tgd, plan, body_match,
-                        &buffers[p]);
+      CollectOneTrigger(instance, solution, plan, body_match, &buffers[p]);
       return true;
     };
-    if (plan != nullptr) {
-      EnumerateMatchesDeltaPartitionPlanned(plan->body, instance, delta,
-                                            parts[p],
-                                            Binding::Empty(tgd.var_count),
-                                            collect);
-    } else {
-      EnumerateMatchesDeltaPartition(tgd.body, tgd.var_count, instance,
-                                     delta, parts[p],
-                                     Binding::Empty(tgd.var_count), collect);
-    }
+    EnumerateMatchesDeltaPartitionPlanned(plan.body, instance, delta,
+                                          parts[p],
+                                          Binding::Empty(tgd.var_count),
+                                          collect);
     part_span.AttrInt("collected", static_cast<int64_t>(buffers[p].size()));
   });
   for (std::vector<SolutionAwareTrigger>& buffer : buffers) {
@@ -155,13 +132,8 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
       threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   ThreadPool* pool = owned_pool.get();
   // Compiled plans, shared with the plain chase via the process cache.
-  std::shared_ptr<const plan::CompiledSetting> compiled;
-  if (options.compile_plans && !plan::ForceInterpreter()) {
-    compiled = plan::PlanCache::Global().GetOrCompile(tgds, egds);
-  }
-  const auto plan_for = [&](size_t d) -> const plan::TgdPlan* {
-    return compiled != nullptr ? &compiled->tgds[d] : nullptr;
-  };
+  const std::shared_ptr<const plan::CompiledSetting> compiled =
+      plan::PlanCache::Global().GetOrCompile(tgds, egds);
   // Delta-driven fixpoint: per round, only triggers touching facts added
   // (or tuples dirtied by an egd merge) since the previous round are
   // evaluated. Round one sees everything as new.
@@ -182,8 +154,7 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
     // round's watermark) intact and report the dirty tuples into `extras`.
     EgdFixpointOutcome egd_out = RunEgdsToFixpointDelta(
         egds, &instance, mark, options.max_steps - result.steps,
-        /*symbols=*/nullptr, &extras, pool,
-        compiled != nullptr ? &compiled->egds : nullptr);
+        /*symbols=*/nullptr, &extras, compiled->egds, pool);
     result.steps += egd_out.steps;
     if (egd_out.failed) {
       result.outcome = ChaseOutcome::kFailed;
@@ -206,48 +177,27 @@ ChaseResult SolutionAwareChaseImpl(const Instance& start,
       if (!TouchesDelta(tgd.body, delta)) continue;
       obs::Span tgd_span(obs::Tracer::Global(), "chase.tgd");
       tgd_span.AttrInt("dep", static_cast<int64_t>(d));
+      const plan::TgdPlan& plan = compiled->tgds[d];
       std::vector<SolutionAwareTrigger> pending;
-      CollectSolutionAwareTriggers(instance, delta, solution, tgd,
-                                   plan_for(d), pool, &pending,
-                                   tgd_span.id());
+      CollectSolutionAwareTriggers(instance, delta, solution, tgd, plan, pool,
+                                   &pending, tgd_span.id());
       tgd_span.AttrInt("collected", static_cast<int64_t>(pending.size()));
-      const plan::TgdPlan* plan = plan_for(d);
       for (const SolutionAwareTrigger& trigger : pending) {
         // Re-check on the body match: an earlier application this round
         // may have satisfied it.
-        const bool satisfied =
-            plan != nullptr
-                ? HasMatchPlanned(plan->head, instance, trigger.body)
-                : HasMatch(tgd.head, tgd.var_count, instance, trigger.body);
-        if (satisfied) {
-          continue;
-        }
-        if (plan != nullptr) {
-          // Head rows through the fused apply template; the witness
-          // binding supplies every slot, existentials included.
-          size_t cursor = 0;
-          for (const plan::HeadAtom& atom : plan->apply.head_atoms) {
-            Tuple tuple;
-            tuple.reserve(atom.arity);
-            for (int s = 0; s < atom.arity; ++s) {
-              const plan::HeadSlot& slot = plan->apply.slots[cursor++];
-              tuple.push_back(slot.is_const
-                                  ? slot.key
-                                  : trigger.extended.values[slot.var]);
-            }
-            instance.AddFact(atom.relation, std::move(tuple));
+        if (HasMatchPlanned(plan.head, instance, trigger.body)) continue;
+        // Head rows through the fused apply template; the witness binding
+        // supplies every slot, existentials included.
+        size_t cursor = 0;
+        for (const plan::HeadAtom& atom : plan.apply.head_atoms) {
+          Tuple tuple;
+          tuple.reserve(atom.arity);
+          for (int s = 0; s < atom.arity; ++s) {
+            const plan::HeadSlot& slot = plan.apply.slots[cursor++];
+            tuple.push_back(slot.is_const ? slot.key
+                                          : trigger.extended.values[slot.var]);
           }
-        } else {
-          for (const Atom& atom : tgd.head) {
-            Tuple tuple;
-            tuple.reserve(atom.terms.size());
-            for (const Term& t : atom.terms) {
-              tuple.push_back(t.is_constant()
-                                  ? t.constant()
-                                  : trigger.extended.values[t.var()]);
-            }
-            instance.AddFact(atom.relation, std::move(tuple));
-          }
+          instance.AddFact(atom.relation, std::move(tuple));
         }
         ++result.steps;
         if (result.steps >= options.max_steps) {
@@ -272,8 +222,6 @@ ChaseResult SolutionAwareChase(const Instance& start,
                                const ChaseOptions& options) {
   obs::Span run_span(obs::Tracer::Global(), "chase");
   run_span.AttrStr("strategy", "solution_aware")
-      .AttrBool("compiled",
-                options.compile_plans && !plan::ForceInterpreter())
       .AttrInt("tgds", static_cast<int64_t>(tgds.size()))
       .AttrInt("egds", static_cast<int64_t>(egds.size()));
   ChaseResult result =

@@ -1,7 +1,5 @@
 #include "hom/match_vm.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -11,15 +9,6 @@
 namespace pdx {
 
 namespace {
-
-std::atomic<bool>& ForceTreeExecFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("PDX_FORCE_TREE_EXEC");
-    return env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }();
-  return flag;
-}
 
 constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 
@@ -82,8 +71,8 @@ class VmLease {
 };
 
 // Binding assignment that reuses the destination's capacity, resolving
-// bound values when the instance has merges (the invariant the tree
-// executor's AssignResolvedPartial maintains).
+// bound values when the instance has merges: bindings always hold
+// resolved values, as in the interpreting matcher.
 void AssignResolvedPartialVm(const Instance& instance, const Binding& partial,
                              Binding* out) {
   *out = partial;
@@ -100,7 +89,7 @@ void EnsureVmFrames(VmContext* ctx, int n) {
 // Runs the slot instructions [begin, end) against `tuple`. kBind and
 // kCheckVar share the runtime-checked path (bind if unbound, else compare)
 // so a caller whose partial binding differs from the compiled assumption
-// still executes correctly — same tolerance as the tree executor's RunOps.
+// still executes correctly.
 template <bool kResolved>
 bool RunSlots(VmContext* ctx, const plan::Instr* code, uint32_t begin,
               uint32_t end, const Value* tuple,
@@ -126,8 +115,9 @@ bool RunSlots(VmContext* ctx, const plan::Instr* code, uint32_t begin,
 // The inner loop: executes the loop-nest starting at `entry` against the
 // current ctx->binding. Returns true iff the callback stopped the
 // enumeration. `additive_pivot` >= 0 confines headers with
-// atom_index < additive_pivot to tuples below delta->begin(relation),
-// exactly like the tree executor's limit.
+// atom_index < additive_pivot to tuples below delta->begin(relation): the
+// pre-delta confinement of an additive partition (hom/matcher.h,
+// DeltaPartition).
 template <bool kResolved, typename Fn>
 bool RunLoops(VmContext* ctx, const plan::BodyCode& bc, uint32_t entry,
               const Instance& instance, const ValueResolver* resolver,
@@ -365,14 +355,6 @@ bool TryFastExists(const plan::BodyCode& bc, const Instance& instance,
 }
 
 }  // namespace
-
-bool ForceTreeExec() {
-  return ForceTreeExecFlag().load(std::memory_order_relaxed);
-}
-
-void SetForceTreeExec(bool force) {
-  ForceTreeExecFlag().store(force, std::memory_order_relaxed);
-}
 
 bool VmEnumerateMatches(const plan::BodyPlan& plan, const Instance& instance,
                         const Binding& partial,

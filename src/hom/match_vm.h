@@ -1,19 +1,20 @@
 #ifndef PDX_HOM_MATCH_VM_H_
 #define PDX_HOM_MATCH_VM_H_
 
-// The register-style bytecode VM behind the planned match entry points: an
-// iterative executor for the linear programs plan/bytecode.h lowers from
-// compiled BodyPlans. One frame per join level (candidate cursor + trail
-// mark), no recursion, no virtual dispatch, and no heap allocation in
-// steady state (frames are pooled per thread, like the tree executor's
-// PlanContexts).
+// The register-style bytecode VM: the one executor behind the planned
+// match entry points of hom/matcher.h. It runs the linear programs
+// plan/bytecode.h lowers from compiled BodyPlans, iteratively: one frame
+// per join level (candidate cursor + trail mark), no recursion, no
+// virtual dispatch, and no heap allocation in steady state (contexts are
+// pooled per thread and nesting depth).
 //
-// The VM enumerates exactly the match set the tree executor enumerates,
-// including the delta-pivot confinement and the bind-or-check tolerance
-// for callers whose partial binding differs from the compiled assumption.
-// PDX_FORCE_TREE_EXEC=1 (or SetForceTreeExec) routes every planned call
-// back to the recursive tree executor, which stays as the cross-validated
-// baseline (tests/cross_validation_test.cc, tools/check.sh).
+// The VM enumerates the match set the interpreting matcher
+// (EnumerateMatches) enumerates, including the delta-pivot confinement of
+// DeltaPartition and the bind-or-check tolerance for callers whose
+// partial binding differs from the compiled assumption. That equivalence
+// is tested in plan_compiler_test (against EnumerateMatches and the
+// semi-naive definition), and end to end by every differential test that
+// checks a planned engine against the naive chase, kRestrictedNaive.
 
 #include <functional>
 
@@ -21,13 +22,6 @@
 #include "plan/ir.h"
 
 namespace pdx {
-
-// True when planned execution must use the tree executor instead of the
-// VM. Seeded from the PDX_FORCE_TREE_EXEC environment variable (non-empty
-// and not "0"); SetForceTreeExec overrides it at runtime (tests and
-// benchmarks toggle per leg).
-bool ForceTreeExec();
-void SetForceTreeExec(bool force);
 
 // EnumerateMatchesPlanned through plan.code (full program).
 bool VmEnumerateMatches(const plan::BodyPlan& plan, const Instance& instance,

@@ -52,34 +52,23 @@ bool EnumerateMatches(const std::vector<Atom>& atoms, int var_count,
                       const Instance& instance, const Binding& partial,
                       const std::function<bool(const Binding&)>& fn);
 
-// Delta-restricted enumeration (the semi-naive restriction): enumerates
-// only homomorphisms that match at least one body atom to a fact inside
-// `delta`, i.e. a fact added since the delta's watermark. Every such match
-// is produced exactly once: the *first* atom (in `atoms` order) mapped to
-// a delta fact acts as the pivot — it ranges over the delta, atoms before
-// it are confined to pre-delta facts, atoms after it are unrestricted.
-// Matches entirely over pre-delta facts are skipped; a caller that has
-// already processed them (the previous chase rounds) loses nothing.
+// One slice of a delta-restricted (semi-naive) enumeration: the matches
+// that bind at least one body atom to a fact inside a DeltaView — a fact
+// added since the delta's watermark, or a tuple an egd merge dirtied.
 //
-// If the delta carries merge-dirtied extras (DeltaView::extras), matches
-// binding an atom to a dirtied pre-existing tuple are also enumerated —
-// these pivots leave the other atoms unrestricted, so a match touching
-// both an extra and an additive fact may be reported more than once;
-// callers must be idempotent (chase triggers are: they re-check before
-// firing).
-//
-// Callback and return semantics are identical to EnumerateMatches.
-bool EnumerateMatchesDelta(const std::vector<Atom>& atoms, int var_count,
-                           const Instance& instance, const DeltaView& delta,
-                           const Binding& partial,
-                           const std::function<bool(const Binding&)>& fn);
-
-// One slice of the work EnumerateMatchesDelta performs: the pivot atom
-// `pivot` ranges over a sub-range of the delta. When `over_extras` is
-// false, [begin, end) slices the additive tuple range
-// [delta.begin, delta.end) of the pivot's relation; otherwise it slices
-// positions of delta.extras(relation). Atoms before an additive pivot are
-// confined to pre-delta facts, exactly as in EnumerateMatchesDelta.
+// The pivot atom `pivot` ranges over a sub-range of the delta. When
+// `over_extras` is false, [begin, end) slices the additive tuple range
+// [delta.begin, delta.end) of the pivot's relation, and the atoms before
+// the pivot are confined to pre-delta facts, so a match over additive
+// facts is produced under exactly one pivot: its *first* delta atom (in
+// body order); atoms after it are unrestricted. Otherwise [begin, end)
+// slices positions of delta.extras(relation) (merge-dirtied pre-existing
+// tuples) and the other atoms are unrestricted, so a match touching
+// several extras, or an extra and an additive fact, may be produced more
+// than once; callers must be idempotent (chase triggers are: they
+// re-check before firing). Matches entirely over pre-delta, undirtied
+// facts are never produced; a caller that processed them in earlier
+// rounds loses nothing.
 struct DeltaPartition {
   size_t pivot = 0;
   size_t begin = 0;
@@ -87,26 +76,17 @@ struct DeltaPartition {
   bool over_extras = false;
 };
 
-// Slices the work of EnumerateMatchesDelta(atoms, instance, delta) into at
-// most ~max_partitions independent partitions of comparable pivot width.
-// Enumerating the partitions one after another, in the returned order,
-// visits exactly the matches EnumerateMatchesDelta visits, in the same
-// order — so a parallel caller that concatenates per-partition results in
-// partition order reproduces the sequential enumeration bit for bit.
+// Slices the delta-restricted enumeration of `atoms` into at most
+// ~max_partitions independent partitions of comparable pivot width:
+// additive pivots in atom order, then extras pivots. Enumerating the
+// partitions one after another, in the returned order, visits exactly the
+// matches EnumerateMatchesDeltaPlanned visits, in the same order — so a
+// parallel caller that concatenates per-partition results in partition
+// order reproduces the sequential enumeration bit for bit.
 // Deterministic: a pure function of (atoms, delta, max_partitions).
 std::vector<DeltaPartition> PartitionDeltaMatches(
     const std::vector<Atom>& atoms, const DeltaView& delta,
     size_t max_partitions);
-
-// Enumerates the matches of one partition. Callback and return semantics
-// are identical to EnumerateMatches; `instance` and `delta` must be the
-// ones the partition was built against and must not be mutated while any
-// partition of the same batch is being enumerated (workers share them
-// read-only).
-bool EnumerateMatchesDeltaPartition(
-    const std::vector<Atom>& atoms, int var_count, const Instance& instance,
-    const DeltaView& delta, const DeltaPartition& partition,
-    const Binding& partial, const std::function<bool(const Binding&)>& fn);
 
 // True if at least one homomorphism extending `partial` exists.
 bool HasMatch(const std::vector<Atom>& atoms, int var_count,
@@ -122,35 +102,39 @@ struct BodyPlan;
 
 // --- Plan-driven entry points (the dependency compiler, plan/ir.h) ------
 //
-// Each mirrors its interpreted counterpart above, executing a compiled
-// BodyPlan instead of searching the atom list: the plan's static join
-// order, access paths and unification programs replace the per-node
-// fewest-candidates selection and per-call index probing. The enumerated
-// match *set* is identical to the interpreter's (per delta partition, per
-// pivot — the same pivot confinement semantics apply); the enumeration
-// *order* may differ, which every consumer tolerates (collect-then-apply
-// phases gather full pending sets, and result contracts are stated on
-// resolved views / canonical fingerprints). Bindings reported to `fn`
-// hold resolved values, exactly as in the interpreted paths. The partial
-// binding may bind any subset of variables: plans compiled under a
-// different assumed-bound set stay correct (kBind ops verify at runtime),
-// only access-path quality is tuned to the compiled assumption.
+// The chase engines, the streaming chase and the generic solver match
+// through these: each executes a compiled BodyPlan (from
+// plan::CompileBody) on the bytecode match VM, hom/match_vm.h. The plan's
+// static join order, access paths and unification programs replace the
+// interpreter's per-node fewest-candidates selection. The enumerated
+// match *set* is EnumerateMatches's (restricted, for the delta entry
+// points, as DeltaPartition describes); the *order* may differ, which
+// every consumer tolerates (collect-then-apply phases gather full pending
+// sets, and result contracts are stated on resolved views / canonical
+// fingerprints). Callback and return semantics are EnumerateMatches's,
+// and bindings reported to `fn` hold resolved values. The partial binding may bind any subset of
+// variables: plans compiled under a different assumed-bound set stay
+// correct (bind ops verify at runtime), only access-path quality is tuned
+// to the compiled assumption.
 
 // EnumerateMatches through `plan.full`.
 bool EnumerateMatchesPlanned(const plan::BodyPlan& plan,
                              const Instance& instance, const Binding& partial,
                              const std::function<bool(const Binding&)>& fn);
 
-// EnumerateMatchesDelta through the plan's pivot-rotation variants, in the
-// interpreter's pivot order (additive pivots first, then extras).
+// The whole delta-restricted enumeration (see DeltaPartition) through the
+// plan's pivot-rotation variants: one partition per non-empty pivot, in
+// PartitionDeltaMatches's order (additive pivots first, then extras).
 bool EnumerateMatchesDeltaPlanned(
     const plan::BodyPlan& plan, const Instance& instance,
     const DeltaView& delta, const Binding& partial,
     const std::function<bool(const Binding&)>& fn);
 
-// EnumerateMatchesDeltaPartition through `plan.variants[partition.pivot]`.
-// The partition must have been built (PartitionDeltaMatches) against the
-// same atom list the plan was compiled from.
+// One partition's matches through `plan.variants[partition.pivot]`. The
+// partition must have been built (PartitionDeltaMatches) against the same
+// atom list the plan was compiled from. `instance` and `delta` must not be
+// mutated while any partition of the same batch is being enumerated
+// (pool workers share them read-only).
 bool EnumerateMatchesDeltaPartitionPlanned(
     const plan::BodyPlan& plan, const Instance& instance,
     const DeltaView& delta, const DeltaPartition& partition,

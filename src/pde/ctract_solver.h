@@ -45,8 +45,10 @@ struct CtractSolveResult {
 // `source` must be a ground source-side instance; `target` a target-side
 // instance (it may contain nulls; the paper's J is null-free but nothing
 // here requires that).
-// `chase_options` selects the strategy for both chase phases (delta-driven
-// by default; cross-validation passes kRestrictedNaive to A/B the engines).
+// `chase_options` selects the strategy and thread count for both chase
+// phases (the sequential delta-driven chase by default; the differential
+// tests pass kRestrictedNaive, the reference oracle, to check the delta
+// engine).
 StatusOr<CtractSolveResult> CtractExistsSolution(
     const PdeSetting& setting, const Instance& source, const Instance& target,
     SymbolTable* symbols, const ChaseOptions& chase_options = ChaseOptions());

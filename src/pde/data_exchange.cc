@@ -19,7 +19,7 @@ StatusOr<DataExchangeResult> SolveDataExchange(
   tgds.insert(tgds.end(), setting.target_tgds().begin(),
               setting.target_tgds().end());
   Instance combined = setting.CombineInstances(source, target);
-  // With chase_options.compile_plans (the default) this chase executes
+  // Unless chase_options selects the naive oracle, this chase executes
   // through the dependency compiler; the combined Σ_st ∪ Σ_t plan set is
   // cached by structural fingerprint, so repeated exchanges over one
   // setting compile it once.

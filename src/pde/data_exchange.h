@@ -34,8 +34,9 @@ struct DataExchangeResult {
 // setting.IsDataExchange(); Σ_t's tgds should be weakly acyclic for the
 // polynomial guarantee (a chase budget guards the general case).
 // has_solution == false means the chase failed on a target egd.
-// `chase_options` selects the chase strategy (delta-driven by default;
-// cross-validation passes kRestrictedNaive to A/B the two engines).
+// `chase_options` selects the chase strategy and thread count (the
+// sequential delta-driven chase by default; the differential tests pass
+// kRestrictedNaive, the reference oracle, to check the delta engine).
 StatusOr<DataExchangeResult> SolveDataExchange(
     const PdeSetting& setting, const Instance& source, const Instance& target,
     SymbolTable* symbols, const ChaseOptions& chase_options = ChaseOptions());

@@ -35,12 +35,6 @@ struct GenericSolverOptions {
   // can shift slightly with it (the batched egd discipline dirties
   // different tuples than the rescan discipline).
   int num_threads = 1;
-  // Execute trigger discovery, head checks and the per-node egd fixpoint
-  // through compiled plans (plan/ir.h), fetched once per solve from the
-  // process-wide PlanCache — node re-chases of the same setting never
-  // recompile. The solve outcome is independent of this knob; it is
-  // overridden to false process-wide by PDX_FORCE_INTERPRETER.
-  bool compile_plans = true;
 };
 
 struct GenericSolveResult {

@@ -1,7 +1,6 @@
 #include "plan/compiler.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "base/string_util.h"
@@ -361,14 +360,6 @@ std::string DumpPlans(const CompiledSetting& compiled,
   }
   out += StrCat("fingerprint: ", compiled.fingerprint, "\n");
   return out;
-}
-
-bool ForceInterpreter() {
-  static const bool force = [] {
-    const char* env = std::getenv("PDX_FORCE_INTERPRETER");
-    return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  }();
-  return force;
 }
 
 }  // namespace plan

@@ -16,9 +16,13 @@
 //      run time depending on Instance::has_merges), else probe a constant
 //      position, else scan.
 //   3. Delta specialization — one pivot-rotation variant per body atom,
-//      so EnumerateMatchesDeltaPartition's pivot semantics (atoms before
-//      an additive pivot confined to pre-delta facts) execute through the
-//      plan without re-deriving anything per partition.
+//      so the semi-naive pivot semantics of hom/matcher.h's
+//      DeltaPartition (atoms before an additive pivot confined to
+//      pre-delta facts) execute through the plan without re-deriving
+//      anything per partition.
+//
+// Every plan is then lowered to bytecode (plan/bytecode.h) for the match
+// VM, the only planned executor.
 //
 // Plans are pure functions of dependency structure (never of instance
 // contents), so a setting compiles once and is reusable for the life of
@@ -83,12 +87,6 @@ std::string DumpPlans(const CompiledSetting& compiled,
                       const std::vector<Tgd>& tgds,
                       const std::vector<Egd>& egds, const Schema& schema,
                       const SymbolTable& symbols);
-
-// True when the PDX_FORCE_INTERPRETER environment variable is set and
-// non-"0": every plan consumer falls back to the interpreter regardless of
-// ChaseOptions::compile_plans, so sanitizer passes can pin either
-// execution path (tools/check.sh). Read once per process.
-bool ForceInterpreter();
 
 }  // namespace plan
 }  // namespace pdx

@@ -15,10 +15,11 @@
 // egd merges and the semi-naive delta restrictions) lives in the matcher:
 // hom/matcher.h, EnumerateMatches*Planned / HasMatchPlanned.
 //
-// The compiled path enumerates exactly the match *set* the interpreter
-// enumerates — per delta partition, per pivot — but may visit it in a
-// different order (static join order vs. the interpreter's per-node
-// fewest-candidates choice). Every consumer is order-tolerant: pending
+// A plan enumerates exactly the match *set* the interpreting matcher
+// (EnumerateMatches) enumerates — restricted per delta partition, per
+// pivot, for the delta variants — but may visit it in a different order
+// (static join order vs. the interpreter's per-node fewest-candidates
+// choice). Every consumer is order-tolerant: pending
 // trigger sets are collected fully before applying, and all result
 // contracts are stated on resolved views and canonical fingerprints.
 
@@ -78,7 +79,7 @@ struct JoinStep {
 // case where atom `pivot` ranges over the delta (additive range or
 // merge-dirtied extras) and the remaining atoms join around it. Atoms with
 // atom_index < pivot are confined to pre-delta facts by the executor when
-// the partition is additive, mirroring EnumerateMatchesDeltaPartition.
+// the partition is additive (hom/matcher.h, DeltaPartition).
 struct DeltaVariant {
   int pivot = -1;
   RelationId pivot_relation = -1;
@@ -98,9 +99,9 @@ struct BodyPlan {
   std::vector<bool> initially_bound;
   std::vector<JoinStep> full;
   std::vector<DeltaVariant> variants;  // variants[i].pivot == i
-  // Linear lowering of `full` + `variants` (plan/bytecode.h), executed by
-  // the match VM unless PDX_FORCE_TREE_EXEC routes to the tree executor.
-  // Empty for hand-built plans that skipped CompileBody.
+  // Linear lowering of `full` + `variants` (plan/bytecode.h): what the
+  // match VM executes. CompileBody always fills it; the JoinStep form
+  // above is the lowering's input and what --dump-plans prints.
   BodyCode code;
 };
 

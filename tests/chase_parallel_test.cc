@@ -1,23 +1,23 @@
-// Cross-validation of the pooled delta chase against the sequential path
-// over the matrix num_threads ∈ {1, 2, 8} × compile_plans ∈ {on, off}: the
-// chase must produce equivalent results on randomized workloads covering
-// the tgd pipeline, the merge-heavy egd cascade, the oblivious engine,
-// disjoint-footprint families, failing runs, the solver-level verdict, and
-// auto-compaction. At a fixed compile mode, every thread count must give
-// the bit-identical result — same outcome, steps, nulls_created and raw
+// Cross-validation of the pooled delta chase over num_threads ∈ {1, 2, 8}:
+// the chase must produce equivalent results on randomized workloads
+// covering the tgd pipeline, the merge-heavy egd cascade, the oblivious
+// engine, disjoint-footprint families, failing runs, the solver-level
+// verdict, and auto-compaction. Every thread count must give the
+// bit-identical result — same outcome, steps, nulls_created and raw
 // canonical fingerprint — even though pooled runs instantiate heads in
 // the workers and overlap collection across footprint-compatible
 // dependencies: every fresh null is still drawn on the calling thread in
-// enumeration order. Across compile modes (different enumeration orders)
-// results are equal under canonical null renumbering
-// (testing_util::CanonicalizedFingerprint). The canonicalization helpers
+// enumeration order. The sequential reference itself is checked against
+// the naive chase (kRestrictedNaive, the reference oracle): the same
+// outcome, and the same instance under canonical null renumbering
+// (testing_util::CanonicalizedFingerprint) for the restricted engine or
+// up to homomorphism for the oblivious one. The canonicalization helpers
 // themselves are unit-tested below on hand-built instances (the
 // refinement-level tests live in instance_hom_test.cc).
 //
 // These tests carry the `parallel` ctest label and are additionally run
-// under TSan by tools/check.sh (default, PDX_FORCE_INTERPRETER=1 and
-// PDX_FORCE_TREE_EXEC=1 lanes). Sizes are deliberately modest so the TSan
-// passes stay fast.
+// under TSan by tools/check.sh. Sizes are deliberately modest so the TSan
+// pass stays fast.
 
 #include <string>
 #include <vector>
@@ -37,12 +37,11 @@ using testing_util::CanonicalizedFingerprint;
 using testing_util::Unwrap;
 
 constexpr int kThreadCounts[] = {1, 2, 8};
-constexpr bool kCompileModes[] = {true, false};
 
-// Trace tag for one cell of the threads × compile matrix.
-std::string CellTag(uint64_t seed, int threads, bool compile) {
+// Trace tag for one run of the thread matrix.
+std::string CellTag(uint64_t seed, int threads) {
   return "seed " + std::to_string(seed) + " threads " +
-         std::to_string(threads) + (compile ? " compiled" : " interpreted");
+         std::to_string(threads);
 }
 
 struct ParallelChaseTest : ::testing::Test {
@@ -93,49 +92,45 @@ struct ParallelChaseTest : ::testing::Test {
 
   ChaseResult Run(const Instance& start, const std::vector<Tgd>& tgds,
                   const std::vector<Egd>& egds, int threads,
-                  ChaseStrategy strategy = ChaseStrategy::kRestricted,
-                  bool compile = true) {
+                  ChaseStrategy strategy = ChaseStrategy::kRestricted) {
     ChaseOptions options;
     options.strategy = strategy;
     options.num_threads = threads;
-    options.compile_plans = compile;
     return Chase(start, tgds, egds, &symbols, options);
   }
 
-  // Runs the workload over the threads × compile matrix and asserts all
-  // observable results match the single-threaded reference exactly (the
-  // compiled and interpreted enumeration orders differ, so each compile
-  // mode gets its own exact reference); outcome, steps, nulls, the resolved
-  // fact count and the canonicalized fingerprint stay invariant across the
-  // whole matrix, compile modes included.
+  // Checks the sequential reference against the naive oracle, then runs
+  // the workload at every thread count and asserts all observable results
+  // match the reference exactly: outcome, steps, nulls, the resolved fact
+  // count, and the raw and canonicalized fingerprints.
   void ExpectThreadInvariant(const Instance& start,
                              const std::vector<Tgd>& tgds,
                              const std::vector<Egd>& egds,
                              ChaseStrategy strategy, uint64_t seed) {
-    ChaseResult ref0 = Run(start, tgds, egds, /*threads=*/1, strategy);
-    uint64_t ref_canonical = CanonicalizedFingerprint(ref0.instance);
-    for (bool compile : kCompileModes) {
-      ChaseResult ref =
-          Run(start, tgds, egds, /*threads=*/1, strategy, compile);
-      SCOPED_TRACE(std::string("reference, ") +
-                   (compile ? "compiled" : "interpreted") + ", seed " +
-                   std::to_string(seed));
-      ASSERT_EQ(ref.outcome, ref0.outcome);
-      ASSERT_EQ(ref.steps, ref0.steps);
-      ASSERT_EQ(ref.nulls_created, ref0.nulls_created);
-      ASSERT_EQ(CanonicalizedFingerprint(ref.instance), ref_canonical);
-      uint64_t ref_fp = ref.instance.CanonicalFingerprint();
-      for (int threads : kThreadCounts) {
-        ChaseResult got = Run(start, tgds, egds, threads, strategy, compile);
-        SCOPED_TRACE(CellTag(seed, threads, compile));
-        ASSERT_EQ(got.outcome, ref.outcome);
-        ASSERT_EQ(got.steps, ref.steps);
-        ASSERT_EQ(got.nulls_created, ref.nulls_created);
-        ASSERT_EQ(got.instance.ResolvedFactCount(),
-                  ref.instance.ResolvedFactCount());
-        ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-        ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ChaseResult ref = Run(start, tgds, egds, /*threads=*/1, strategy);
+    ChaseResult naive = Run(start, tgds, egds, /*threads=*/1,
+                            ChaseStrategy::kRestrictedNaive);
+    ASSERT_EQ(ref.outcome, naive.outcome);
+    const uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
+    if (ref.outcome == ChaseOutcome::kSuccess) {
+      if (strategy == ChaseStrategy::kRestricted) {
+        ASSERT_EQ(ref_canonical, CanonicalizedFingerprint(naive.instance));
+      } else {
+        AssertHomEquivalent(ref.instance, naive.instance, "vs naive");
       }
+    }
+    const uint64_t ref_fp = ref.instance.CanonicalFingerprint();
+    for (int threads : kThreadCounts) {
+      ChaseResult got = Run(start, tgds, egds, threads, strategy);
+      SCOPED_TRACE(CellTag(seed, threads));
+      ASSERT_EQ(got.outcome, ref.outcome);
+      ASSERT_EQ(got.steps, ref.steps);
+      ASSERT_EQ(got.nulls_created, ref.nulls_created);
+      ASSERT_EQ(got.instance.ResolvedFactCount(),
+                ref.instance.ResolvedFactCount());
+      ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
+      ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
     }
   }
 };
@@ -196,33 +191,32 @@ TEST_F(ParallelChaseTest, DisjointDependenciesPipelineIsThreadInvariant) {
         start.AddFact(r, {u, v});
       }
     }
-    for (bool compile : kCompileModes) {
-      ChaseOptions ref_options;
-      ref_options.num_threads = 1;
-      ref_options.compile_plans = compile;
-      ChaseResult ref = Chase(start, deps.tgds, {}, &wide_symbols, ref_options);
-      ASSERT_EQ(ref.outcome, ChaseOutcome::kSuccess);
-      uint64_t ref_fp = ref.instance.CanonicalFingerprint();
-      uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
-      for (int threads : kThreadCounts) {
-        ChaseOptions options;
-        options.num_threads = threads;
-        options.compile_plans = compile;
-        ChaseResult got = Chase(start, deps.tgds, {}, &wide_symbols, options);
-        SCOPED_TRACE(CellTag(seed, threads, compile));
-        ASSERT_EQ(got.outcome, ref.outcome);
-        ASSERT_EQ(got.steps, ref.steps);
-        ASSERT_EQ(got.nulls_created, ref.nulls_created);
-        ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
-        ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
-      }
+    ChaseResult ref = Chase(start, deps.tgds, {}, &wide_symbols);
+    ASSERT_EQ(ref.outcome, ChaseOutcome::kSuccess);
+    ChaseOptions naive_options;
+    naive_options.strategy = ChaseStrategy::kRestrictedNaive;
+    ChaseResult naive = Chase(start, deps.tgds, {}, &wide_symbols,
+                              naive_options);
+    const uint64_t ref_canonical = CanonicalizedFingerprint(ref.instance);
+    ASSERT_EQ(ref_canonical, CanonicalizedFingerprint(naive.instance));
+    const uint64_t ref_fp = ref.instance.CanonicalFingerprint();
+    for (int threads : kThreadCounts) {
+      ChaseOptions options;
+      options.num_threads = threads;
+      ChaseResult got = Chase(start, deps.tgds, {}, &wide_symbols, options);
+      SCOPED_TRACE(CellTag(seed, threads));
+      ASSERT_EQ(got.outcome, ref.outcome);
+      ASSERT_EQ(got.steps, ref.steps);
+      ASSERT_EQ(got.nulls_created, ref.nulls_created);
+      ASSERT_EQ(CanonicalizedFingerprint(got.instance), ref_canonical);
+      ASSERT_EQ(got.instance.CanonicalFingerprint(), ref_fp);
     }
   }
 }
 
-// Constant/constant clashes: compiled and interpreted enumeration may
-// apply merges in different orders, but whether the closure holds a clash
-// is order-independent, so the verdict must agree. (Step counts of failing
+// Constant/constant clashes: the naive oracle applies merges in another
+// order than the delta engine, but whether the closure holds a clash is
+// order-independent, so the verdict must agree. (Step counts of failing
 // runs are not comparable across orders and are not asserted.)
 TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
   int failures = 0;
@@ -230,20 +224,16 @@ TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
     Instance start = RandomEdges(16, 2, seed);
     ChaseResult ref = Run(start, copy_tgds, key_egds, /*threads=*/1);
     if (ref.outcome == ChaseOutcome::kFailed) ++failures;
-    for (bool compile : kCompileModes) {
-      ChaseResult compile_ref =
-          Run(start, copy_tgds, key_egds, /*threads=*/1,
-              ChaseStrategy::kRestricted, compile);
-      ASSERT_EQ(compile_ref.outcome, ref.outcome);
-      for (int threads : kThreadCounts) {
-        ChaseResult got = Run(start, copy_tgds, key_egds, threads,
-                              ChaseStrategy::kRestricted, compile);
-        SCOPED_TRACE(CellTag(seed, threads, compile));
-        ASSERT_EQ(got.outcome, ref.outcome);
-        if (ref.outcome == ChaseOutcome::kSuccess) {
-          ASSERT_EQ(got.instance.CanonicalFingerprint(),
-                    compile_ref.instance.CanonicalFingerprint());
-        }
+    ChaseResult naive = Run(start, copy_tgds, key_egds, /*threads=*/1,
+                            ChaseStrategy::kRestrictedNaive);
+    ASSERT_EQ(naive.outcome, ref.outcome) << "seed " << seed;
+    for (int threads : kThreadCounts) {
+      ChaseResult got = Run(start, copy_tgds, key_egds, threads);
+      SCOPED_TRACE(CellTag(seed, threads));
+      ASSERT_EQ(got.outcome, ref.outcome);
+      if (ref.outcome == ChaseOutcome::kSuccess) {
+        ASSERT_EQ(got.instance.CanonicalFingerprint(),
+                  ref.instance.CanonicalFingerprint());
       }
     }
   }
@@ -252,8 +242,9 @@ TEST_F(ParallelChaseTest, FailingRunsAgreeOnOutcome) {
   EXPECT_GT(failures, 0);
 }
 
-// Solver-level verdicts through SolveDataExchange: solution existence and
-// the universal solution itself must not depend on num_threads.
+// Solver-level verdicts through SolveDataExchange: solution existence
+// must match the naive oracle's, and neither it nor the universal
+// solution itself may depend on num_threads.
 TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
   SymbolTable de_symbols;
   PdeSetting setting = Unwrap(
@@ -287,6 +278,13 @@ TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
                                  &de_symbols, ref_options),
                "SolveDataExchange");
     (ref.has_solution ? with_solution : without)++;
+    ChaseOptions naive_options;
+    naive_options.strategy = ChaseStrategy::kRestrictedNaive;
+    DataExchangeResult naive =
+        Unwrap(SolveDataExchange(setting, source, setting.EmptyInstance(),
+                                 &de_symbols, naive_options),
+               "SolveDataExchange (naive)");
+    ASSERT_EQ(naive.has_solution, ref.has_solution) << "seed " << seed;
     for (int threads : kThreadCounts) {
       ChaseOptions options;
       options.num_threads = threads;
@@ -294,7 +292,7 @@ TEST_F(ParallelChaseTest, DataExchangeVerdictsAreThreadInvariant) {
           Unwrap(SolveDataExchange(setting, source, setting.EmptyInstance(),
                                    &de_symbols, options),
                  "SolveDataExchange");
-      SCOPED_TRACE(CellTag(seed, threads, /*compile=*/true));
+      SCOPED_TRACE(CellTag(seed, threads));
       ASSERT_EQ(got.has_solution, ref.has_solution);
       if (ref.has_solution) {
         ASSERT_EQ(got.nulls_created, ref.nulls_created);

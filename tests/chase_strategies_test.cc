@@ -1,7 +1,8 @@
-// Cross-validation of the chase variants: the delta-driven restricted
-// chase must compute the same result as the naive full-rescan one (up to
-// null renaming), and the oblivious chase must produce a superset that
-// still satisfies every dependency. Randomized generated settings widen
+// Cross-validation of the chase variants against the naive full-rescan
+// restricted chase (kRestrictedNaive, the reference oracle): the
+// delta-driven restricted chase must compute the same result (up to null
+// renaming), and the oblivious chase must produce a superset that still
+// satisfies every dependency and is homomorphically equivalent to it. Randomized generated settings widen
 // the net beyond the hand-picked dependency sets.
 
 #include <algorithm>
@@ -119,6 +120,17 @@ TEST_P(ChaseStrategyTest, ObliviousResultSatisfiesEverything) {
   EXPECT_GE(oblivious.instance.fact_count(),
             restricted.instance.fact_count());
   EXPECT_GE(oblivious.nulls_created, restricted.nulls_created);
+  // Both are universal solutions, so the oblivious result and the naive
+  // oracle's map into each other.
+  ChaseResult naive =
+      Chase(start, deps->tgds, deps->egds, &symbols_, NaiveOptions());
+  ASSERT_EQ(naive.outcome, ChaseOutcome::kSuccess);
+  EXPECT_TRUE(FindInstanceHomomorphism(oblivious.instance, naive.instance)
+                  .has_value())
+      << "no homomorphism oblivious -> naive";
+  EXPECT_TRUE(FindInstanceHomomorphism(naive.instance, oblivious.instance)
+                  .has_value())
+      << "no homomorphism naive -> oblivious";
 }
 
 constexpr ChaseCase kCases[] = {

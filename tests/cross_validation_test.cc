@@ -10,7 +10,6 @@
 #include "gtest/gtest.h"
 #include "chase/stream.h"
 #include "hom/instance_hom.h"
-#include "hom/match_vm.h"
 #include "logic/parser.h"
 #include "pde/ctract_solver.h"
 #include "pde/data_exchange.h"
@@ -182,10 +181,6 @@ TEST_P(ChaseStrategyCrossValidationTest, CtractAgreesAcrossStrategies) {
   naive_options.strategy = ChaseStrategy::kRestrictedNaive;
   ChaseOptions delta_options;
   delta_options.strategy = ChaseStrategy::kRestricted;
-  // Compiled-plan toggle per seed: even seeds run the delta engine
-  // through the dependency compiler, odd seeds through the interpreter,
-  // so both lanes stay covered by the randomized sweep.
-  delta_options.compile_plans = seed % 2 == 0;
 
   CtractSolveResult naive = Unwrap(CtractExistsSolution(
       setting, source, target, &symbols, naive_options));
@@ -223,7 +218,6 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
   naive_options.strategy = ChaseStrategy::kRestrictedNaive;
   ChaseOptions delta_options;
   delta_options.strategy = ChaseStrategy::kRestricted;
-  delta_options.compile_plans = seed % 2 == 0;
 
   DataExchangeResult naive = Unwrap(SolveDataExchange(
       setting, source, target, &symbols, naive_options));
@@ -232,60 +226,12 @@ TEST_P(ChaseStrategyCrossValidationTest, DataExchangeAgreesAcrossStrategies) {
 
   EXPECT_EQ(naive.has_solution, delta.has_solution) << "seed " << seed;
 
-  // Plan-vs-interpreter: the same delta solve with compile_plans flipped
-  // must agree on the verdict and on the universal solution up to null
-  // renaming (the compiled executor's enumeration order — and hence fresh
-  // null identities — is its own).
-  ChaseOptions flipped_options = delta_options;
-  flipped_options.compile_plans = !delta_options.compile_plans;
-  DataExchangeResult flipped = Unwrap(SolveDataExchange(
-      setting, source, target, &symbols, flipped_options));
-  EXPECT_EQ(flipped.has_solution, delta.has_solution)
-      << "compiled/interpreted disagreement on seed " << seed;
-  if (flipped.has_solution && delta.has_solution) {
-    ASSERT_TRUE(flipped.universal_solution.has_value());
-    EXPECT_EQ(flipped.nulls_created, delta.nulls_created) << "seed " << seed;
-    EXPECT_EQ(
-        testing_util::CanonicalizedFingerprint(*flipped.universal_solution),
-        testing_util::CanonicalizedFingerprint(*delta.universal_solution))
-        << "compiled/interpreted fingerprint divergence on seed " << seed;
-  }
   if (naive.has_solution && delta.has_solution) {
     ASSERT_TRUE(naive.universal_solution.has_value());
     ASSERT_TRUE(delta.universal_solution.has_value());
     EXPECT_EQ(naive.universal_solution->CanonicalFingerprint(),
               delta.universal_solution->CanonicalFingerprint())
         << "seed " << seed;
-  }
-
-  // VM-vs-tree: the compiled delta solve run once per planned executor
-  // (toggled per seed which leg runs first; both always run). The bytecode
-  // VM and the tree executor enumerate identical match sets, so verdict,
-  // null count and the solution up to null renaming must agree.
-  {
-    ChaseOptions compiled_options = delta_options;
-    compiled_options.compile_plans = true;
-    const bool saved_force = ForceTreeExec();
-    const bool vm_first = seed % 2 == 0;
-    SetForceTreeExec(!vm_first);
-    DataExchangeResult first = Unwrap(SolveDataExchange(
-        setting, source, target, &symbols, compiled_options));
-    SetForceTreeExec(vm_first);
-    DataExchangeResult second = Unwrap(SolveDataExchange(
-        setting, source, target, &symbols, compiled_options));
-    SetForceTreeExec(saved_force);
-    EXPECT_EQ(first.has_solution, second.has_solution)
-        << "vm/tree disagreement on seed " << seed;
-    if (first.has_solution && second.has_solution) {
-      ASSERT_TRUE(first.universal_solution.has_value());
-      ASSERT_TRUE(second.universal_solution.has_value());
-      EXPECT_EQ(first.nulls_created, second.nulls_created)
-          << "seed " << seed;
-      EXPECT_EQ(
-          testing_util::CanonicalizedFingerprint(*first.universal_solution),
-          testing_util::CanonicalizedFingerprint(*second.universal_solution))
-          << "vm/tree fingerprint divergence on seed " << seed;
-    }
   }
 
   // A randomized parallel configuration of the delta solve (thread count
@@ -365,7 +311,6 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
   naive_options.strategy = ChaseStrategy::kRestrictedNaive;
   ChaseOptions delta_options;
   delta_options.strategy = ChaseStrategy::kRestricted;
-  delta_options.compile_plans = seed % 2 == 0;
   ChaseResult naive =
       Chase(start, deps->tgds, deps->egds, &symbols, naive_options);
   ChaseResult delta =
@@ -394,54 +339,6 @@ TEST_P(EgdHeavyChaseCrossValidationTest, EnginesAgreeOnEgdHeavyChases) {
     EXPECT_EQ(testing_util::CanonicalizedFingerprint(parallel.instance),
               testing_util::CanonicalizedFingerprint(delta.instance))
         << "seed " << seed << " threads " << parallel_options.num_threads;
-  }
-
-  // Plan-vs-interpreter cross-validation: flipping compile_plans on the
-  // sequential delta chase must reproduce the outcome, counts, and the
-  // result up to null renaming (the two-atom bodies here make the
-  // compiled join order coincide with the interpreter's).
-  ChaseOptions flipped_options = delta_options;
-  flipped_options.compile_plans = !delta_options.compile_plans;
-  ChaseResult flipped =
-      Chase(start, deps->tgds, deps->egds, &symbols, flipped_options);
-  ASSERT_EQ(flipped.outcome, delta.outcome)
-      << "compiled/interpreted disagreement on seed " << seed << "\nI:\n"
-      << start.ToString(symbols);
-  if (delta.outcome == ChaseOutcome::kSuccess) {
-    EXPECT_EQ(flipped.steps, delta.steps) << "seed " << seed;
-    EXPECT_EQ(flipped.nulls_created, delta.nulls_created) << "seed " << seed;
-    EXPECT_EQ(testing_util::CanonicalizedFingerprint(flipped.instance),
-              testing_util::CanonicalizedFingerprint(delta.instance))
-        << "compiled/interpreted fingerprint divergence on seed " << seed;
-  }
-
-  // VM-vs-tree cross-validation on the egd-heavy chase: the compiled
-  // sequential delta chase under both planned executors (leg order toggled
-  // per seed). Identical match sets per partition force identical
-  // outcomes, step counts, null counts, and results up to null renaming.
-  {
-    ChaseOptions compiled_options = delta_options;
-    compiled_options.compile_plans = true;
-    const bool saved_force = ForceTreeExec();
-    const bool vm_first = seed % 2 == 1;
-    SetForceTreeExec(!vm_first);
-    ChaseResult first =
-        Chase(start, deps->tgds, deps->egds, &symbols, compiled_options);
-    SetForceTreeExec(vm_first);
-    ChaseResult second =
-        Chase(start, deps->tgds, deps->egds, &symbols, compiled_options);
-    SetForceTreeExec(saved_force);
-    ASSERT_EQ(first.outcome, second.outcome)
-        << "vm/tree disagreement on seed " << seed << "\nI:\n"
-        << start.ToString(symbols);
-    if (first.outcome == ChaseOutcome::kSuccess) {
-      EXPECT_EQ(first.steps, second.steps) << "seed " << seed;
-      EXPECT_EQ(first.nulls_created, second.nulls_created)
-          << "seed " << seed;
-      EXPECT_EQ(testing_util::CanonicalizedFingerprint(first.instance),
-                testing_util::CanonicalizedFingerprint(second.instance))
-          << "vm/tree fingerprint divergence on seed " << seed;
-    }
   }
 
   if (delta.outcome != ChaseOutcome::kSuccess) return;

@@ -9,7 +9,6 @@
 #include "chase/chase.h"
 #include "chase/stream.h"
 #include "hom/instance_hom.h"
-#include "hom/match_vm.h"
 #include "logic/parser.h"
 #include "pde/setting_file.h"
 #include "relational/instance_io.h"
@@ -109,8 +108,9 @@ TEST_P(FuzzTest, MutatedValidDependencySurvives) {
 }
 
 // Chase fuzz: random instances (constants and shared nulls) through
-// egd-bearing rule sets. Whatever the merge order, the union-find engine
-// must agree with the Substitute baseline, and its resolved view must
+// egd-bearing rule sets. Whatever the merge order, the union-find engine,
+// sequential and pooled, must agree with the naive Substitute chase (the
+// reference oracle), and its resolved view must
 // expose every surviving null as its own class root — a null resolving to
 // a non-root would mean a stale parent link survived the chase.
 TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
@@ -151,10 +151,6 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
     ChaseOptions delta_options;
     delta_options.strategy = ChaseStrategy::kRestricted;
     delta_options.max_steps = 5000;
-    // Compiled-plan toggle drawn per trial; every delta-engine
-    // configuration of this trial (sequential and parallel) uses the same
-    // lane, and the flipped lane is cross-validated below.
-    delta_options.compile_plans = rng.UniformInt(2) == 1;
     ChaseResult naive =
         Chase(start, deps->tgds, deps->egds, &symbols_, naive_options);
     ChaseResult delta =
@@ -186,60 +182,6 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
                 testing_util::CanonicalizedFingerprint(delta.instance))
           << "trial " << trial << " threads " << parallel_options.num_threads
           << "\nI:\n" << start.ToString(symbols_);
-    }
-
-    // Plan-vs-interpreter cross-validation: the same sequential delta
-    // chase with compile_plans flipped. On these rule sets (bodies of at
-    // most two atoms) the compiled join order coincides with the
-    // interpreter's, so outcome, step count, null count and the
-    // canonicalized fingerprint must all agree.
-    ChaseOptions flipped_options = delta_options;
-    flipped_options.compile_plans = !delta_options.compile_plans;
-    ChaseResult flipped =
-        Chase(start, deps->tgds, deps->egds, &symbols_, flipped_options);
-    ASSERT_EQ(flipped.outcome, delta.outcome)
-        << "compiled/interpreted disagreement, trial " << trial
-        << " compile_plans " << flipped_options.compile_plans << "\nI:\n"
-        << start.ToString(symbols_);
-    if (delta.outcome == ChaseOutcome::kSuccess) {
-      EXPECT_EQ(flipped.steps, delta.steps) << "trial " << trial;
-      EXPECT_EQ(flipped.nulls_created, delta.nulls_created)
-          << "trial " << trial;
-      EXPECT_EQ(testing_util::CanonicalizedFingerprint(flipped.instance),
-                testing_util::CanonicalizedFingerprint(delta.instance))
-          << "compiled/interpreted fingerprint divergence, trial " << trial
-          << "\nI:\n" << start.ToString(symbols_);
-    }
-
-    // VM-vs-tree cross-validation: the same compiled sequential delta
-    // chase under both planned executors (the bytecode VM and the
-    // recursive tree walk it replaced). They enumerate identical match
-    // sets per partition, so outcome, step count, null count and the
-    // canonicalized fingerprint must all agree. The prior executor state
-    // (possibly pinned by PDX_FORCE_TREE_EXEC) is restored afterwards.
-    {
-      ChaseOptions compiled_options = delta_options;
-      compiled_options.compile_plans = true;
-      const bool saved_force = ForceTreeExec();
-      SetForceTreeExec(false);
-      ChaseResult vm_run =
-          Chase(start, deps->tgds, deps->egds, &symbols_, compiled_options);
-      SetForceTreeExec(true);
-      ChaseResult tree_run =
-          Chase(start, deps->tgds, deps->egds, &symbols_, compiled_options);
-      SetForceTreeExec(saved_force);
-      ASSERT_EQ(vm_run.outcome, tree_run.outcome)
-          << "vm/tree disagreement, trial " << trial << "\nI:\n"
-          << start.ToString(symbols_);
-      if (vm_run.outcome == ChaseOutcome::kSuccess) {
-        EXPECT_EQ(vm_run.steps, tree_run.steps) << "trial " << trial;
-        EXPECT_EQ(vm_run.nulls_created, tree_run.nulls_created)
-            << "trial " << trial;
-        EXPECT_EQ(testing_util::CanonicalizedFingerprint(vm_run.instance),
-                  testing_util::CanonicalizedFingerprint(tree_run.instance))
-            << "vm/tree fingerprint divergence, trial " << trial << "\nI:\n"
-            << start.ToString(symbols_);
-      }
     }
 
     if (delta.outcome != ChaseOutcome::kSuccess) continue;
@@ -274,9 +216,10 @@ TEST_P(FuzzTest, FuzzedChasesResolveSurvivingNullsToUniqueRoots) {
 }
 
 // Streaming churn fuzz: a random ±Δ stream absorbed batch-by-batch by a
-// StreamingChase must track a fresh engine chasing the net instance —
-// dependency satisfaction and homomorphic equivalence after every batch —
-// whatever the thread count and compile mode drawn for the trial. The
+// StreamingChase must track the naive chase (kRestrictedNaive, the
+// reference oracle) of the net instance — dependency satisfaction and
+// homomorphic equivalence after every batch — whatever the thread count
+// drawn for the trial. The
 // universe is constant-only E facts, so the egd-bearing rule set only ever
 // merges invented nulls: no churn order can fail the chase, and deleting
 // an egd firing's body exercises the full re-chase fallback instead.
@@ -309,9 +252,12 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
 
     ChaseOptions options;
     options.max_steps = 5000;
-    options.compile_plans = rng.UniformInt(2) == 1;
     const int kThreadChoices[] = {1, 2, 8};
     options.num_threads = kThreadChoices[rng.UniformInt(3)];
+
+    ChaseOptions naive_options;
+    naive_options.strategy = ChaseStrategy::kRestrictedNaive;
+    naive_options.max_steps = 5000;
 
     ChurnOptions churn_options;
     churn_options.delete_rate = 0.2;
@@ -332,7 +278,7 @@ TEST_P(FuzzTest, ChurnStreamsMatchFreshEngineOnNetInstance) {
           << batch_idx;
       Instance net = churn.NetInstance(&schema_);
       ChaseResult scratch =
-          Chase(net, deps->tgds, deps->egds, &symbols_, options);
+          Chase(net, deps->tgds, deps->egds, &symbols_, naive_options);
       ASSERT_EQ(scratch.outcome, ChaseOutcome::kSuccess)
           << "trial " << trial << " batch " << batch_idx;
       EXPECT_TRUE(SatisfiesAll(stream.instance(), *deps))

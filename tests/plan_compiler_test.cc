@@ -1,12 +1,14 @@
 // Dependency compiler tests: IR goldens for the pass pipeline (atom
 // reordering, access-path selection, delta specialization, apply
-// templates), PlanCache behavior and its metrics, executor-vs-interpreter
-// match-set equality (including resolve-on-read under merges and the
-// semi-naive delta restriction), and the solver cache criterion — node
+// templates), PlanCache behavior and its metrics, planned-vs-interpreter
+// match-set equality (including resolve-on-read under merges), the planned
+// delta enumeration against the semi-naive definition, and the solver
+// cache criterion — node
 // re-chases of one setting compile it exactly once per process.
 
 #include "plan/compiler.h"
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -129,8 +131,8 @@ TEST_F(PlanCompilerTest, ApplyTemplateCapturesHeadShapeAndExistentials) {
   EXPECT_EQ(apply.head_width, 4u);
   EXPECT_EQ(apply.fresh_per_trigger, 2);
   ASSERT_EQ(apply.existentials.size(), 2u);
-  // Ascending variable order — the interpreter invents fresh nulls in that
-  // order, and the speculative layouts rely on it.
+  // Ascending variable order — the apply phases invent fresh nulls in that
+  // order (as the naive chase does), and the pooled scan relies on it.
   EXPECT_LT(apply.existentials[0], apply.existentials[1]);
   // Flat head row: H(x,z) F(z,w) -> slots 1 and 2 hold z, slot 3 holds w.
   ASSERT_EQ(apply.slots.size(), 4u);
@@ -288,7 +290,11 @@ TEST_F(PlanCompilerTest, ExecutorMatchesInterpreterOnMergedInstance) {
             CollectPlanned(plan, instance, partial));
 }
 
-TEST_F(PlanCompilerTest, DeltaExecutorMatchesInterpreterPerPartition) {
+// The semi-naive reference: the planned delta enumeration must produce
+// exactly the full matches (interpreter, EnumerateMatches) that use at
+// least one post-watermark fact, and the delta partitions must split that
+// set into disjoint parts.
+TEST_F(PlanCompilerTest, DeltaExecutorMatchesSemiNaiveDefinition) {
   auto query = ParseQuery("q(x,y,z) :- E(x,y) & E(y,z).", schema_,
                           &symbols_);
   ASSERT_TRUE(query.ok());
@@ -300,106 +306,74 @@ TEST_F(PlanCompilerTest, DeltaExecutorMatchesInterpreterPerPartition) {
     instance.AddFact(0, {node(i), node((i + 1) % 6)});
   }
   InstanceWatermark mark = instance.TakeWatermark();
+  const std::vector<Fact> old_facts = instance.AllFacts();
   for (int i = 0; i < 6; ++i) {
     instance.AddFact(0, {node(i), node((i + 2) % 6)});
   }
   DeltaView delta(instance, mark);
 
+  // Every full match with some body atom mapped outside the pre-watermark
+  // facts.
+  const auto uses_new_fact = [&](const Binding& b) {
+    for (const Atom& atom : query->body) {
+      Tuple tuple;
+      for (const Term& t : atom.terms) {
+        tuple.push_back(t.is_constant() ? t.constant() : b.values[t.var()]);
+      }
+      const Fact fact{atom.relation, std::move(tuple)};
+      if (std::find(old_facts.begin(), old_facts.end(), fact) ==
+          old_facts.end()) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto row_of = [](const Binding& b) {
+    Row row;
+    for (const Value& v : b.values) row.push_back(v.packed());
+    return row;
+  };
+  Binding empty = Binding::Empty(query->var_count);
+  std::set<Row> expected;
+  EnumerateMatches(query->body, query->var_count, instance, empty,
+                   [&](const Binding& b) {
+                     if (uses_new_fact(b)) expected.insert(row_of(b));
+                     return true;
+                   });
+  ASSERT_FALSE(expected.empty());
+
   plan::BodyPlan plan =
       plan::CompileBody(query->body, query->var_count, {});
-  Binding empty = Binding::Empty(query->var_count);
-
-  std::set<Row> interpreted;
-  EnumerateMatchesDelta(query->body, query->var_count, instance, delta,
-                        empty, [&](const Binding& b) {
-                          Row row;
-                          for (const Value& v : b.values) {
-                            row.push_back(v.packed());
-                          }
-                          interpreted.insert(row);
-                          return true;
-                        });
   std::set<Row> planned;
   EnumerateMatchesDeltaPlanned(plan, instance, delta, empty,
                                [&](const Binding& b) {
-                                 Row row;
-                                 for (const Value& v : b.values) {
-                                   row.push_back(v.packed());
-                                 }
-                                 planned.insert(row);
+                                 planned.insert(row_of(b));
                                  return true;
                                });
-  EXPECT_EQ(interpreted, planned);
-  EXPECT_FALSE(planned.empty());
+  EXPECT_EQ(planned, expected);
 
-  // And per partition: each partition's match set agrees with the
-  // interpreter enumerating the same partition.
+  // Per partition: the parts are pairwise disjoint (each match is produced
+  // under its first delta atom only) and together make up the whole set.
+  std::set<Row> united;
+  size_t part_rows = 0;
   for (const DeltaPartition& part :
        PartitionDeltaMatches(query->body, delta, 4)) {
-    std::set<Row> part_interpreted, part_planned;
-    EnumerateMatchesDeltaPartition(query->body, query->var_count, instance,
-                                   delta, part, empty,
-                                   [&](const Binding& b) {
-                                     Row row;
-                                     for (const Value& v : b.values) {
-                                       row.push_back(v.packed());
-                                     }
-                                     part_interpreted.insert(row);
-                                     return true;
-                                   });
-    EnumerateMatchesDeltaPartitionPlanned(plan, instance, delta, part,
-                                          empty, [&](const Binding& b) {
-                                            Row row;
-                                            for (const Value& v : b.values) {
-                                              row.push_back(v.packed());
-                                            }
-                                            part_planned.insert(row);
+    std::set<Row> rows;
+    EnumerateMatchesDeltaPartitionPlanned(plan, instance, delta, part, empty,
+                                          [&](const Binding& b) {
+                                            rows.insert(row_of(b));
                                             return true;
                                           });
-    EXPECT_EQ(part_interpreted, part_planned);
+    part_rows += rows.size();
+    united.insert(rows.begin(), rows.end());
   }
-}
-
-TEST_F(PlanCompilerTest, ChaseResultsAgreeAcrossCompileToggle) {
-  // End-to-end: the same chase with compile_plans on and off reaches the
-  // same instance (same null identities — the compiled path preserves the
-  // interpreter's fresh-null order) on a tgd+egd interleaving.
-  auto deps = ParseDependencies(
-      "E(x,y) -> exists z: H(x,z) & F(y,z). "
-      "H(x,y) & H(x,z) -> y = z. "
-      "F(x,y) & F(x,z) -> y = z.",
-      schema_, &symbols_);
-  ASSERT_TRUE(deps.ok());
-  Value a = symbols_.InternConstant("a");
-  Value b = symbols_.InternConstant("b");
-  Value c = symbols_.InternConstant("c");
-  Instance start(&schema_);
-  start.AddFact(0, {a, b});
-  start.AddFact(0, {b, c});
-  start.AddFact(0, {a, c});
-
-  ChaseOptions interpreted_options;
-  interpreted_options.compile_plans = false;
-  ChaseOptions compiled_options;
-  compiled_options.compile_plans = true;
-  ChaseResult interpreted =
-      Chase(start, deps->tgds, deps->egds, &symbols_, interpreted_options);
-  ChaseResult compiled =
-      Chase(start, deps->tgds, deps->egds, &symbols_, compiled_options);
-  ASSERT_EQ(interpreted.outcome, ChaseOutcome::kSuccess);
-  ASSERT_EQ(compiled.outcome, ChaseOutcome::kSuccess);
-  EXPECT_EQ(interpreted.steps, compiled.steps);
-  EXPECT_EQ(interpreted.nulls_created, compiled.nulls_created);
-  EXPECT_EQ(testing_util::CanonicalizedFingerprint(interpreted.instance),
-            testing_util::CanonicalizedFingerprint(compiled.instance));
+  EXPECT_EQ(part_rows, united.size()) << "partitions overlap";
+  EXPECT_EQ(united, expected);
 }
 
 // --- Solver cache criterion ---------------------------------------------
 
 TEST_F(PlanCompilerTest, SolverNodeRechasesCompileEachSettingOnce) {
-  if (plan::ForceInterpreter()) {
-    GTEST_SKIP() << "PDX_FORCE_INTERPRETER disables plan compilation";
-  }
   // A setting shaped to be structurally unique in this process (arity-3
   // target relation), so its first solve is the one and only compile; the
   // search explores multiple nodes, each re-chasing through the same

@@ -1,5 +1,7 @@
 #include "base/string_util.h"
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -39,6 +41,27 @@ TEST(StartsWithTest, Basic) {
   EXPECT_TRUE(StartsWith("foo", ""));
   EXPECT_FALSE(StartsWith("fo", "foo"));
   EXPECT_FALSE(StartsWith("bar", "foo"));
+}
+
+TEST(ParseInt64InRangeTest, AcceptsWholeNumbersInRange) {
+  EXPECT_EQ(ParseInt64InRange("0", 0, 256).value(), 0);
+  EXPECT_EQ(ParseInt64InRange("256", 0, 256).value(), 256);
+  EXPECT_EQ(ParseInt64InRange("-3", -5, 5).value(), -3);
+  EXPECT_EQ(ParseInt64InRange("9223372036854775807", 1, INT64_MAX).value(),
+            INT64_MAX);
+}
+
+TEST(ParseInt64InRangeTest, RejectsGarbageAndOutOfRange) {
+  for (const char* text : {"", "abc", "10x", "x10", " 4", "4 ", "+4", "1.5",
+                           "-3", "257", "100000",
+                           "99999999999999999999"}) {
+    StatusOr<int64_t> parsed = ParseInt64InRange(text, 0, 256);
+    EXPECT_FALSE(parsed.ok()) << "'" << text << "'";
+    if (!parsed.ok()) {
+      EXPECT_NE(parsed.status().ToString().find("[0, 256]"),
+                std::string::npos);
+    }
+  }
 }
 
 }  // namespace

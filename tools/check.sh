@@ -6,21 +6,21 @@
 # snapshot — stores or resolver — is exactly what it catches), then the
 # `parallel`-labeled tests under ThreadSanitizer (TSan and ASan cannot
 # share a build tree, so the TSan pass builds only the concurrency
-# tests in its own tree and runs just that label). The sanitizer suites
-# run repeatedly: once on the default compiled-plan path, once with
-# PDX_FORCE_INTERPRETER=1 pinning the retained interpreter, and once
-# with PDX_FORCE_TREE_EXEC=1 pinning the recursive tree executor (the
-# match VM's kill switch). The chase has one pooled path, so the TSan
-# stage needs no schedule lanes: the plain `ctest -L parallel` run
-# covers it.
+# tests in its own tree and runs just that label). Each sanitizer suite
+# runs once: the delta engines have one planned executor (the match VM)
+# and one pooled path, and the naive chase — the differential tests'
+# oracle — runs in the same suites, so there are no executor, schedule or
+# interpreter lanes.
 #
 # The plain pass is followed by two perf smoke gates (`bench_chase
-# --quick`: VM-vs-tree cross-check plus a conservative throughput floor
-# on pipeline_n512; `bench_stream --quick`: incremental ±Δ re-solve vs
+# --quick`: a steps and fingerprint cross-check against the naive chase
+# plus a conservative throughput floor on pipeline_n512; `bench_stream
+# --quick`: incremental ±Δ re-solve vs
 # full re-chase at 10% churn, fingerprint-cross-checked with a
 # conservative speedup floor) and a pdxcli smoke stage: check/chase/solve on
 # the shipped Example 1 setting with --metrics-out/--trace-out, failing on
-# malformed exporter output, plus a -DPDX_OBS_NOOP=ON build gate proving
+# malformed exporter output or on an unknown or out-of-range flag that
+# pdxcli or pdxd accepts, plus a -DPDX_OBS_NOOP=ON build gate proving
 # the library and CLI still compile with the observability layer stubbed
 # out (the stubs are all-inline, so nothing short of building exercises
 # them).
@@ -84,10 +84,29 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
     fi
   done
 
+  # Unknown and out-of-range flags are usage errors (exit 2) that name the
+  # flag, rejected before any chase, pool or server starts.
+  expect_usage_error() {
+    local flag="$1"; shift
+    local rc=0
+    "$@" >/dev/null 2>"$smoke_dir/usage.err" || rc=$?
+    [[ "$rc" == 2 ]] && grep -q -- "$flag" "$smoke_dir/usage.err" ||
+      { echo "smoke: '$*' must exit 2 naming $flag (got $rc)" >&2; exit 1; }
+  }
+  expect_usage_error --schedule ./build/tools/pdxcli chase \
+    --setting data/example1.pdx --source data/example1_triangle.facts \
+    --schedule dag
+  expect_usage_error --threads ./build/tools/pdxcli chase \
+    --setting data/example1.pdx --source data/example1_triangle.facts \
+    --threads 100000
+  expect_usage_error --repeat ./build/tools/pdxcli chase \
+    --setting data/example1.pdx --source data/example1_triangle.facts \
+    --repeat abc
+
   echo "== perf smoke gate (bench_chase --quick) =="
   cmake --build build -j "$jobs" --target bench_chase
-  # Cross-checks the bytecode VM against the tree executor on
-  # pipeline_n512 (same steps and canonical fingerprint) and fails if VM
+  # Cross-checks the delta chase against the naive chase on
+  # pipeline_n512 (same steps and canonical fingerprint) and fails if its
   # throughput drops below a conservative facts/sec floor — a regression
   # tripwire, not a benchmark (full numbers live in BENCH_chase.json).
   ./build/bench/bench_chase --quick
@@ -103,6 +122,12 @@ if [[ "$mode" == "all" || "$mode" == "--smoke-only" ]]; then
 
   echo "== pdxd smoke (serving daemon) =="
   cmake --build build -j "$jobs" --target pdxd pdxctl bench_serve
+  for bad in "--chase-threads abc" "--threads 100000" "--deadline-ms -3" \
+             "--max-chase-steps 10x" "--max-solver-nodes 0"; do
+    # shellcheck disable=SC2086  # split "--flag value" into two words
+    expect_usage_error "${bad%% *}" ./build/tools/pdxd \
+      --listen "unix:$smoke_dir/never.sock" $bad
+  done
   sock="$smoke_dir/pdxd.sock"
   msock="$smoke_dir/pdxd_metrics.sock"
   ./build/tools/pdxd --listen "unix:$sock" --metrics "unix:$msock" \
@@ -213,19 +238,6 @@ if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
   echo "== address+undefined sanitizer build =="
   run_suite build-asan "-DPDX_SANITIZE=address;undefined" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  # Same build, interpreter forced: PDX_FORCE_INTERPRETER=1 disables the
-  # compiled match/apply plans process-wide, so the retained interpreter —
-  # the cross-validation baseline — keeps its own sanitizer coverage now
-  # that the default path runs through plan/.
-  echo "== address+undefined sanitizer rerun (interpreter forced) =="
-  PDX_FORCE_INTERPRETER=1 ctest --test-dir build-asan -L tier1 \
-    --output-on-failure -j "$jobs" --timeout 600
-  # And with the match VM disabled: PDX_FORCE_TREE_EXEC=1 pins the
-  # recursive tree executor (the bytecode VM's kill switch), keeping the
-  # fallback path under ASan now that the VM is the default executor.
-  echo "== address+undefined sanitizer rerun (tree executor forced) =="
-  PDX_FORCE_TREE_EXEC=1 ctest --test-dir build-asan -L tier1 \
-    --output-on-failure -j "$jobs" --timeout 600
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
@@ -240,18 +252,6 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   # footprint-DAG collect/apply overlap, pooled egd collection) — the code
   # TSan most needs to see.
   ctest --test-dir build-tsan -L parallel \
-    --output-on-failure -j "$jobs" --timeout 600
-  # And once more with plans disabled: the pooled path's interpreter lane
-  # (worker-side interpreted matching) stays data-race clean even though
-  # compiled plans are the default.
-  echo "== thread sanitizer rerun (interpreter forced) =="
-  PDX_FORCE_INTERPRETER=1 ctest --test-dir build-tsan -L parallel \
-    --output-on-failure -j "$jobs" --timeout 600
-  # Tree-executor lane: parallel collection with the VM kill switch on —
-  # the recursive executor must stay race-free when pool workers
-  # enumerate delta partitions through it.
-  echo "== thread sanitizer rerun (tree executor forced) =="
-  PDX_FORCE_TREE_EXEC=1 ctest --test-dir build-tsan -L parallel \
     --output-on-failure -j "$jobs" --timeout 600
 fi
 

@@ -5,7 +5,7 @@
 //   pdxcli chase   --setting FILE --source FILE [--target FILE] [--threads N]
 //                  [--dump-plans] [--repeat N]
 //   pdxcli solve   --setting FILE --source FILE [--target FILE]
-//                  [--solver auto|ctract|generic] [--minimize] [--diff]
+//                  [--solver auto|ctract|generic] [--minimize] [--core] [--diff]
 //                  [--threads N]
 //   pdxcli certain --setting FILE --source FILE [--target FILE]
 //                  --query 'q(x) :- H(x,y).' [--threads N]
@@ -18,12 +18,16 @@
 // duration and writes Chrome trace_event JSON (load it in chrome://tracing
 // or https://ui.perfetto.dev).
 //
+// --threads N takes 0..256 (0 = hardware concurrency, default 1) and
+// --repeat N takes 1..1000000. A flag the command does not accept, or a
+// count that is not a whole number in its range, is a usage error
+// (exit 2) that names the flag.
+//
 // Setting files use the [source]/[target]/[st]/[ts]/[t] format of
 // pde/setting_file.h; instance files hold facts like "E(a,b).".
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -57,31 +61,31 @@ namespace {
 struct CliArgs {
   std::string command;
   std::map<std::string, std::string> flags;
+  // The integer flags (kIntFlags), parsed and range-checked.
+  std::map<std::string, int64_t> ints;
 };
 
-StatusOr<CliArgs> ParseArgs(int argc, char** argv) {
-  if (argc < 2) {
-    return InvalidArgumentError("missing command");
-  }
-  CliArgs args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) {
-      return InvalidArgumentError(StrCat("expected --flag, got ", flag));
-    }
-    flag = flag.substr(2);
-    if (flag == "minimize" || flag == "core" || flag == "diff" ||
-        flag == "dump-plans") {
-      args.flags[flag] = "true";
-      continue;
-    }
-    if (i + 1 >= argc) {
-      return InvalidArgumentError(StrCat("flag --", flag, " needs a value"));
-    }
-    args.flags[flag] = argv[++i];
-  }
-  return args;
+// Flags that take no value.
+bool IsSwitch(const std::string& flag) {
+  return flag == "minimize" || flag == "core" || flag == "diff" ||
+         flag == "dump-plans";
+}
+
+// Integer flags and their accepted ranges. The thread cap keeps a typo
+// from asking the chase pool for thousands of OS threads.
+struct IntFlag {
+  const char* name;
+  int64_t min;
+  int64_t max;
+};
+constexpr IntFlag kIntFlags[] = {
+    {"threads", 0, 256},
+    {"repeat", 1, 1'000'000},
+};
+
+int64_t IntFlagOr(const CliArgs& args, const char* flag, int64_t fallback) {
+  auto it = args.ints.find(flag);
+  return it == args.ints.end() ? fallback : it->second;
 }
 
 // --metrics-out / --trace-out plumbing, applied uniformly to every
@@ -139,8 +143,7 @@ class ObsExports {
 };
 
 int ParseThreads(const CliArgs& args) {
-  auto it = args.flags.find("threads");
-  return it == args.flags.end() ? 1 : std::atoi(it->second.c_str());
+  return static_cast<int>(IntFlagOr(args, "threads", 1));
 }
 
 StatusOr<PdeSetting> LoadSetting(const CliArgs& args, SymbolTable* symbols) {
@@ -237,14 +240,7 @@ int RunChase(const CliArgs& args) {
                                  setting->schema(), symbols)
               << "\n";
   }
-  int repeat = 1;
-  if (auto it = args.flags.find("repeat"); it != args.flags.end()) {
-    repeat = std::atoi(it->second.c_str());
-    if (repeat < 1) {
-      std::cerr << "--repeat needs a positive count\n";
-      return 2;
-    }
-  }
+  const int repeat = static_cast<int>(IntFlagOr(args, "repeat", 1));
   // With --repeat N the same chase runs N times and the wall-time
   // min/median are reported: min is the least-noise estimate, the median
   // shows how contended the box was. Output facts come from the last run
@@ -495,31 +491,96 @@ int RunExplain(const CliArgs& args) {
   return 1;
 }
 
-int Dispatch(const CliArgs& args) {
-  if (args.command == "check") return RunCheck(args);
-  if (args.command == "chase") return RunChase(args);
-  if (args.command == "solve") return RunSolve(args);
-  if (args.command == "certain") return RunCertain(args);
-  if (args.command == "repairs") return RunRepairs(args);
-  if (args.command == "explain") return RunExplain(args);
-  std::cerr << "unknown command " << args.command << "\n";
-  return 2;
+// Each command with the flags it accepts, besides --metrics-out and
+// --trace-out, which every command takes.
+struct Command {
+  const char* name;
+  int (*run)(const CliArgs&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"check", RunCheck, {"setting"}},
+      {"chase", RunChase,
+       {"setting", "source", "target", "threads", "dump-plans", "repeat"}},
+      {"solve", RunSolve,
+       {"setting", "source", "target", "solver", "minimize", "core", "diff",
+        "threads"}},
+      {"certain", RunCertain,
+       {"setting", "source", "target", "query", "threads"}},
+      {"repairs", RunRepairs, {"setting", "source", "target"}},
+      {"explain", RunExplain, {"setting", "source", "target"}},
+  };
+  return commands;
+}
+
+// Parses and validates the whole command line before anything runs:
+// the command must exist, every flag must be one it accepts, and every
+// integer flag must be a whole number in its range.
+StatusOr<CliArgs> ParseArgs(int argc, char** argv, const Command** command) {
+  if (argc < 2) {
+    return InvalidArgumentError("missing command");
+  }
+  CliArgs args;
+  args.command = argv[1];
+  *command = nullptr;
+  for (const Command& c : Commands()) {
+    if (args.command == c.name) *command = &c;
+  }
+  if (*command == nullptr) {
+    return InvalidArgumentError(StrCat("unknown command ", args.command));
+  }
+  for (int i = 2; i < argc; ++i) {
+    std::string flag = argv[i];
+    if (flag.rfind("--", 0) != 0) {
+      return InvalidArgumentError(StrCat("expected --flag, got ", flag));
+    }
+    flag = flag.substr(2);
+    const std::vector<std::string>& accepted = (*command)->flags;
+    if (flag != "metrics-out" && flag != "trace-out" &&
+        std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+      return InvalidArgumentError(StrCat("unknown flag --", flag, " for ",
+                                         args.command));
+    }
+    if (IsSwitch(flag)) {
+      args.flags[flag] = "true";
+      continue;
+    }
+    if (i + 1 >= argc) {
+      return InvalidArgumentError(StrCat("flag --", flag, " needs a value"));
+    }
+    args.flags[flag] = argv[++i];
+  }
+  for (const IntFlag& spec : kIntFlags) {
+    auto it = args.flags.find(spec.name);
+    if (it == args.flags.end()) continue;
+    StatusOr<int64_t> value =
+        ParseInt64InRange(it->second, spec.min, spec.max);
+    if (!value.ok()) {
+      return InvalidArgumentError(
+          StrCat("--", spec.name, ": ", value.status().message()));
+    }
+    args.ints[spec.name] = *value;
+  }
+  return args;
 }
 
 int Main(int argc, char** argv) {
-  auto args = ParseArgs(argc, argv);
+  const Command* command = nullptr;
+  auto args = ParseArgs(argc, argv, &command);
   if (!args.ok()) {
     std::cerr << args.status().ToString() << "\n"
               << "usage: pdxcli check|chase|solve|certain|repairs|explain "
                  "--setting FILE [--source FILE] [--target FILE] "
                  "[--solver auto|ctract|generic] [--query Q] "
-                 "[--minimize] [--diff] [--threads N] "
+                 "[--minimize] [--core] [--diff] [--threads N] "
                  "[--dump-plans] [--repeat N] "
                  "[--metrics-out FILE] [--trace-out FILE]\n";
     return 2;
   }
   ObsExports exports(*args);
-  int rc = Dispatch(*args);
+  int rc = command->run(*args);
   int export_rc = exports.Write();
   return rc != 0 ? rc : export_rc;
 }

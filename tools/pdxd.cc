@@ -15,14 +15,20 @@
 // "listening <addr>" / "metrics <addr>" so scripts can scrape it).
 // --setting preloads a tenant at startup; repeatable.
 //
+// Numeric flags are parsed whole and range-checked before the server
+// starts; anything else is a usage error (exit 2) naming the flag:
+//   --threads, --chase-threads  0..256 (0 = hardware concurrency)
+//   --max-chase-steps, --max-solver-nodes  1..10^12
+//   --deadline-ms  1..86400000 (one day)
+//
 // The daemon exits on SIGINT/SIGTERM or a `shutdown` request, after a
 // graceful drain: in-flight requests finish, admitted writes publish.
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -59,7 +65,24 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+// Parses `text` as the value of the integer flag `flag` into `*out`, or
+// reports the flag and its range on stderr and returns false.
+bool ParseIntFlag(const std::string& flag, const char* text, int64_t min,
+                  int64_t max, int64_t* out) {
+  StatusOr<int64_t> value = ParseInt64InRange(text, min, max);
+  if (!value.ok()) {
+    std::fprintf(stderr, "pdxd: %s: %s\n", flag.c_str(),
+                 value.status().message().c_str());
+    return false;
+  }
+  *out = *value;
+  return true;
+}
+
 int Main(int argc, char** argv) {
+  constexpr int64_t kMaxThreads = 256;
+  constexpr int64_t kMaxBudget = 1'000'000'000'000;
+  constexpr int64_t kMaxDeadlineMs = 86'400'000;
   ServerOptions options;
   std::vector<std::string> preload;
   for (int i = 1; i < argc; ++i) {
@@ -68,26 +91,34 @@ int Main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    int64_t n = 0;
+    bool ok = true;
     if (flag == "--listen" && (v = value())) {
       options.address = v;
     } else if (flag == "--metrics" && (v = value())) {
       options.metrics_address = v;
     } else if (flag == "--threads" && (v = value())) {
-      options.worker_threads = std::atoi(v);
+      ok = ParseIntFlag(flag, v, 0, kMaxThreads, &n);
+      options.worker_threads = static_cast<int>(n);
     } else if (flag == "--chase-threads" && (v = value())) {
-      options.tenant.chase_threads = std::atoi(v);
+      ok = ParseIntFlag(flag, v, 0, kMaxThreads, &n);
+      options.tenant.chase_threads = static_cast<int>(n);
     } else if (flag == "--max-chase-steps" && (v = value())) {
-      options.tenant.max_chase_steps = std::atoll(v);
+      ok = ParseIntFlag(flag, v, 1, kMaxBudget,
+                        &options.tenant.max_chase_steps);
     } else if (flag == "--max-solver-nodes" && (v = value())) {
-      options.tenant.max_solver_nodes = std::atoll(v);
+      ok = ParseIntFlag(flag, v, 1, kMaxBudget,
+                        &options.tenant.max_solver_nodes);
     } else if (flag == "--deadline-ms" && (v = value())) {
-      options.protocol.default_deadline_ms = std::atoll(v);
+      ok = ParseIntFlag(flag, v, 1, kMaxDeadlineMs,
+                        &options.protocol.default_deadline_ms);
     } else if (flag == "--setting" && (v = value())) {
       preload.push_back(v);
     } else {
       std::fprintf(stderr, "pdxd: bad flag %s\n", flag.c_str());
       return Usage(argv[0]);
     }
+    if (!ok) return Usage(argv[0]);
   }
   if (options.address.empty()) {
     std::fprintf(stderr, "pdxd: --listen is required\n");
